@@ -176,7 +176,7 @@ def _json_bound(v: float):
     return "unbounded" if v == UNBOUNDED else v
 
 
-def certify_dimension(n: int, method: str = "auto") -> CertificateReport:
+def certify_dimension(n: int) -> CertificateReport:
     """Enumerate the W classes of dimension n and bound every entry of each.
 
     The conclusion pins m(n) exactly when the certified upper bound meets the
@@ -187,7 +187,7 @@ def certify_dimension(n: int, method: str = "auto") -> CertificateReport:
         raise ValueError("n must be at least 2")
     if n > 6:
         raise DimensionTooLargeError("certification relies on enumeration, capped at n=6")
-    classes = enumerate_w_classes(n, method=method)
+    classes = enumerate_w_classes(n)
     certs = tuple(ClassCertificate(w=w, bounds=entry_bounds_from_w(w)) for w in classes)
     per_class_max = tuple(c.max_bound for c in certs)
     finite = [m for m in per_class_max if m < UNBOUNDED]

@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .certify import certify_dimension, crude_bound, entry_bounds_from_w, lower_bound
 from .enumeration import enumerate_sign_patterns, enumerate_w_classes
@@ -49,8 +47,8 @@ def _write_out(args, text: str) -> None:
             fh.write(text)
 
 
-def _scan_from_args(args, A: SymMatrix | None = None) -> ScanConfig:
-    base = ScanConfig.for_matrix(A) if A is not None else ScanConfig()
+def _scan_from_args(args, A: SymMatrix) -> ScanConfig:
+    base = ScanConfig.for_matrix(A)
     return ScanConfig(
         t_min=args.t_min if args.t_min is not None else base.t_min,
         t_max=args.t_max if args.t_max is not None else base.t_max,
@@ -122,7 +120,7 @@ def cmd_enumerate(args) -> int:
         else:
             sys.stdout.write(body)
         return 0
-    classes = enumerate_w_classes(args.n, method=args.method)
+    classes = enumerate_w_classes(args.n)
     body = "\n".join(format_sign_change_matrix(w) for w in classes)
     print(f"n={args.n}: {len(classes)} sign-change classes")
     if args.n == 5:
@@ -162,7 +160,7 @@ def cmd_certify(args) -> int:
                              for row in bounds.bound],
         }, indent=2))
         return 0 if not unbounded else 1
-    report = certify_dimension(args.n, method=args.method)
+    report = certify_dimension(args.n)
     upper = ("unbounded" if report.certified_upper == float("inf")
              else f"{report.certified_upper:g}")
     print(f"classes={report.num_classes} certified_upper={upper} "
@@ -256,69 +254,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scanning=False):
+    def add_out(p):
         p.add_argument("--out", help="write machine output (JSON/CSV/text) to this path")
+
+    def add_file(p):
+        p.add_argument("file")
         p.add_argument("--sym-tol", type=float, default=1e-12,
                        help="relative symmetry tolerance on input (default 1e-12)")
+        add_out(p)
+
+    def add_psd_tol(p):
         p.add_argument("--psd-tol", type=float, default=1e-10,
                        help="relative eigenvalue clamp tolerance (default 1e-10)")
-        p.add_argument("--zero-tol", type=float, default=1e-10,
-                       help="relative coefficient zero tolerance (default 1e-10)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap on internal worker threads (default: cores)")
-        if scanning:
-            p.add_argument("--t-min", type=float, default=None)
-            p.add_argument("--t-max", type=float, default=None)
-            p.add_argument("--step", type=float, default=None,
-                           help="grid step (default 0.01)")
-            p.add_argument("--endpoint-tol", type=float, default=None,
-                           help="bisection tolerance for interval endpoints (default 1e-9)")
-            p.add_argument("--entry-tol", type=float, default=None,
-                           help="negativity threshold (default 1e-9 * max |entry|)")
 
     p = sub.add_parser("check", help="doubly-nonnegative check of a matrix file")
-    p.add_argument("file")
-    add_common(p)
+    add_file(p)
+    add_psd_tol(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("power", help="real matrix power A^t in matrix text format")
-    p.add_argument("file")
+    add_file(p)
     p.add_argument("--t", type=float, required=True)
-    add_common(p)
+    add_psd_tol(p)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("signchange", help="sign change matrix W of a matrix file")
-    p.add_argument("file")
-    add_common(p)
+    add_file(p)
+    p.add_argument("--zero-tol", type=float, default=1e-10,
+                   help="relative coefficient zero tolerance (default 1e-10)")
     p.set_defaults(func=cmd_signchange)
 
     p = sub.add_parser("enumerate", help="enumerate sign patterns / W classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit-patterns", action="store_true",
                    help="dump sign patterns as +/- rows instead of W classes")
-    p.add_argument("--method", choices=("auto", "direct", "rows"), default="auto")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("certify", help="per-dimension certificate or entry bounds of one W")
     p.add_argument("--n", type=int)
     p.add_argument("--w-file")
-    p.add_argument("--method", choices=("auto", "direct", "rows"), default="auto")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("witness", help="random lower-bound witness run")
     p.add_argument("--tridiagonal", action="store_true")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("scan", help="CSV of entry values of A^t along a t grid")
-    p.add_argument("file")
+    add_file(p)
     p.add_argument("--entry", action="append",
                    help="1-based i,j pair; repeatable; default all i <= j")
-    add_common(p, scanning=True)
+    p.add_argument("--t-min", type=float, default=None)
+    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--step", type=float, default=None,
+                   help="grid step (default 0.01)")
+    p.add_argument("--endpoint-tol", type=float, default=None,
+                   help="bisection tolerance for interval endpoints (default 1e-9)")
+    p.add_argument("--entry-tol", type=float, default=None,
+                   help="negativity threshold (default 1e-9 * max |entry|)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("search", help="randomized hunt for large empirical critical exponents")
@@ -326,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--family", choices=experiments.SEARCH_FAMILIES, default="mixed")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_search)
 
     return parser
@@ -339,9 +336,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    if args.threads is not None and args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (MatrixFormatError, NotSymmetricError, FileNotFoundError) as exc:

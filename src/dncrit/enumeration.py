@@ -145,31 +145,20 @@ def _canonical_flats_batch(flats: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def enumerate_w_classes(n: int, method: str = "auto") -> tuple[SignChangeMatrix, ...]:
+def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     """All sign-change-matrix classes arising from admissible sign patterns,
     as canonical forms sorted by their row-major flattening.
 
-    method "direct" maps every pattern (feasible for n <= 5); "rows" reduces
-    first to unordered sets of pattern rows, which cuts the n=6 case from
-    ~20e6 ordered patterns to ~2e5 row sets.  Classes agree: permuting the
-    pattern rows below the first permutes W by the same relabeling.
+    Works on unordered sets of pattern rows rather than on ordered patterns,
+    which cuts the n=6 case from ~20e6 patterns to ~2e5 row sets.  Classes
+    agree: permuting the pattern rows below the first permutes W by the same
+    relabeling.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_MAX_N:
         raise DimensionTooLargeError(f"class enumeration capped at n={ENUM_MAX_N}")
-    if method == "auto":
-        method = "direct" if n <= 5 else "rows"
-    if method == "direct":
-        raw = {tuple(itertools.chain.from_iterable(pattern_to_w(p).w))
-               for p in enumerate_sign_patterns(n)}
-    elif method == "rows":
-        raw = _raw_w_from_row_sets(n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    flats = np.array(sorted(raw), dtype=np.int64)
-    canonical = np.unique(_canonical_flats_batch(flats, n), axis=0)
+    canonical = np.unique(_canonical_flats_batch(_raw_w_from_row_sets(n), n), axis=0)
     classes = []
     for flat in canonical:
         w = tuple(tuple(int(flat[i * n + j]) for j in range(n)) for i in range(n))
@@ -177,8 +166,9 @@ def enumerate_w_classes(n: int, method: str = "auto") -> tuple[SignChangeMatrix,
     return tuple(classes)
 
 
-def _raw_w_from_row_sets(n: int) -> set[tuple[int, ...]]:
-    """Raw W matrices from unordered choices of the non-first pattern rows.
+def _raw_w_from_row_sets(n: int) -> np.ndarray:
+    """Distinct raw W matrices, flattened row-major, from unordered choices
+    of the non-first pattern rows.
 
     Every admissible pattern is a permutation (below row 1) of exactly one
     such row set, and relabeling rows permutes W within its class, so the
@@ -208,5 +198,4 @@ def _raw_w_from_row_sets(n: int) -> set[tuple[int, ...]]:
             changes = (prod[:, 1:] != prod[:, :-1]).sum(axis=1).astype(np.int8)
             w[:, i, j] = changes
             w[:, j, i] = changes
-    unique = np.unique(w.reshape(rows.shape[0], n * n), axis=0)
-    return {tuple(int(v) for v in row) for row in unique}
+    return np.unique(w.reshape(rows.shape[0], n * n), axis=0)

@@ -20,7 +20,6 @@ default_rng([seed, trial]) so reports reproduce bit-for-bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +101,11 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Outcome of the (eps A + I)^t >= 0 check.
-
-    truncation counts the binomial-series coefficients examined as a
-    diagnostic; the verification itself uses spectral powers, since the
-    series converges too slowly near eps * lambda_1 ~ 1 to test against.
-    """
+    """Outcome of the (eps A + I)^t >= 0 check, verified with spectral powers
+    on a grid."""
 
     matrix: SymMatrix
     epsilon: float
-    truncation: int
     verified_range: tuple[float, float]
     passed: bool
     scan: ScanConfig
@@ -122,7 +116,6 @@ class PerturbationReport:
         return {
             "matrix": self.matrix.entries.tolist(),
             "epsilon": self.epsilon,
-            "truncation": self.truncation,
             "verified_range": list(self.verified_range),
             "passed": self.passed,
             "scan": _scan_dict(self.scan),
@@ -339,17 +332,7 @@ def check_monotonicity(A: SymMatrix, r: float, scan: ScanConfig | None = None) -
     )
 
 
-def binomial_series_coefficients(t: float, count: int) -> np.ndarray:
-    """First ``count`` coefficients of (1 + x)^t: c_0 = 1, c_k = c_{k-1} (t-k+1)/k."""
-    out = np.empty(count)
-    out[0] = 1.0
-    for k in range(1, count):
-        out[k] = out[k - 1] * (t - k + 1) / k
-    return out
-
-
-def check_perturbation(A: SymMatrix, scan: ScanConfig | None = None,
-                       diag_terms: int = 32) -> PerturbationReport:
+def check_perturbation(A: SymMatrix, scan: ScanConfig | None = None) -> PerturbationReport:
     """Verify (eps A + I)^t entry-wise >= -entry_tol on the grid t in
     [n-2, t_max], with eps maximal under eps A^n <= A^{n-1} entry-wise."""
     n = A.n
@@ -376,13 +359,9 @@ def check_perturbation(A: SymMatrix, scan: ScanConfig | None = None,
     k = int(np.argmin(per_t_min))
     ok = bool(per_t_min[k] >= -scan.entry_tol)
 
-    # series diagnostic only: coefficients of (1+x)^t at the hardest exponent
-    _ = binomial_series_coefficients(float(max(ts[0], n - 2)), diag_terms)
-
     return PerturbationReport(
         matrix=A,
         epsilon=eps,
-        truncation=diag_terms,
         verified_range=(float(ts[0]), float(ts[-1])),
         passed=ok,
         scan=scan,

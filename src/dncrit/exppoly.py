@@ -84,6 +84,15 @@ class ScanConfig:
     endpoint_tol: float = DEFAULT_ENDPOINT_TOL
     entry_tol: float = DEFAULT_ENTRY_TOL
 
+    def __post_init__(self):
+        fields = (self.t_min, self.t_max, self.step, self.endpoint_tol, self.entry_tol)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError(f"scan settings must be finite, got {fields}")
+        if not (self.step > 0 and self.endpoint_tol > 0 and self.entry_tol >= 0):
+            raise ValueError("scan needs step > 0, endpoint_tol > 0 and entry_tol >= 0")
+        if self.t_max < self.t_min:
+            raise ValueError(f"scan window is empty: t_max {self.t_max} < t_min {self.t_min}")
+
     @classmethod
     def for_matrix(cls, A: SymMatrix, t_min: float = 0.0, t_max: float = 10.0,
                    step: float = DEFAULT_STEP) -> "ScanConfig":
@@ -161,12 +170,6 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
     return ExpPoly(bases=tuple(bases), coefficients=tuple(coeffs),
                    singular=singular, sign_cut=zero_tol * cmax,
                    entry_index=(i, j))
-
-
-def matrix_exppolys(A: SymMatrix) -> list[list[ExpPoly]]:
-    """All n^2 entry polynomials from one decomposition."""
-    dec = spectral_decompose(A)
-    return [[entry_exppoly(dec, i, j) for j in range(A.n)] for i in range(A.n)]
 
 
 def eval_exppoly(f: ExpPoly, t):

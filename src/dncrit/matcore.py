@@ -19,8 +19,6 @@ import numpy as np
 # Default tolerances.  All relative thresholds are scaled as documented at
 # the point of use; tests pin behavior at exactly these values.
 SYM_TOL = 1e-12          # relative asymmetry accepted on input
-JACOBI_TOL = 1e-14       # off-diagonal Frobenius mass / Frobenius norm
-MAX_SWEEPS = 50
 ORTHO_TOL = 1e-12        # |U^T U - I| bound
 RECON_TOL = 1e-10        # |U diag(lam) U^T - A| bound, relative to max |a_ij|
 PSD_TOL = 1e-10          # eigenvalue >= -PSD_TOL * max(1, lam_1) counts as nonnegative
@@ -36,10 +34,6 @@ class MatrixFormatError(ValueError):
 
 class NotSymmetricError(ValueError):
     """Asymmetry of the input exceeds the symmetry tolerance."""
-
-
-class NoConvergenceError(RuntimeError):
-    """The Jacobi sweep limit was exceeded."""
 
 
 class NegativeEigenvalueError(ValueError):
@@ -128,21 +122,7 @@ class SpectralDecomposition:
 
 def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymMatrix:
     """Read a matrix from text: '#' comment lines, then n, then n rows of n numbers."""
-    rows = _read_numeric_rows(text)
-    if not rows:
-        raise MatrixFormatError("empty input")
-    if len(rows[0]) != 1:
-        raise MatrixFormatError("first data line must hold the dimension only")
-    nf = rows[0][0]
-    n = int(nf)
-    if n != nf or n < 1:
-        raise MatrixFormatError(f"bad dimension {nf!r}")
-    if len(rows) - 1 != n:
-        raise MatrixFormatError(f"expected {n} matrix rows, found {len(rows) - 1}")
-    for idx, row in enumerate(rows[1:], start=1):
-        if len(row) != n:
-            raise MatrixFormatError(f"row {idx} has {len(row)} entries, expected {n}")
-    return SymMatrix.from_array(rows[1:], sym_tol=sym_tol)
+    return SymMatrix.from_array(_read_square_rows(text), sym_tol=sym_tol)
 
 
 def format_matrix(A: SymMatrix) -> str:
@@ -166,70 +146,37 @@ def _read_numeric_rows(text: str) -> list[list[float]]:
     return rows
 
 
-def spectral_decompose(
-    A: SymMatrix,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-    sign_tol: float = SIGN_TOL,
-) -> SpectralDecomposition:
-    """Cyclic Jacobi eigendecomposition.
-
-    Sweeps rows in order, rotating every off-diagonal pair, until the
-    off-diagonal Frobenius mass drops to ``tol`` times the (rotation-invariant)
-    Frobenius norm.  Bit-reproducible across runs, ample accuracy at the
-    dimensions this project works at (n <= 10 or so).
-    """
-    n = A.n
-    work = np.array(A.entries, dtype=float)
-    vecs = np.eye(n)
-    fro = np.linalg.norm(work)
-    if fro == 0.0:
-        return _finish_decomposition(np.zeros(n), vecs, sign_tol)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(work - np.diag(np.diag(work)))
-        if off <= tol * fro:
-            return _finish_decomposition(np.diag(work).copy(), vecs, sign_tol)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                _rotate(work, vecs, p, q, c, s)
-    off = np.linalg.norm(work - np.diag(np.diag(work)))
-    if off <= tol * fro:
-        return _finish_decomposition(np.diag(work).copy(), vecs, sign_tol)
-    raise NoConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps (off={off:.3e})")
+def _read_square_rows(text: str) -> list[list[float]]:
+    """The n rows of n numbers below a dimension line n, as read by
+    _read_numeric_rows.  The dimension must be a finite integer >= 1."""
+    rows = _read_numeric_rows(text)
+    if not rows:
+        raise MatrixFormatError("empty input")
+    if len(rows[0]) != 1:
+        raise MatrixFormatError("first data line must hold the dimension only")
+    nf = rows[0][0]
+    if not (nf.is_integer() and nf >= 1):
+        raise MatrixFormatError(f"bad dimension {nf!r}")
+    n = int(nf)
+    if len(rows) - 1 != n:
+        raise MatrixFormatError(f"expected {n} matrix rows, found {len(rows) - 1}")
+    for idx, row in enumerate(rows[1:], start=1):
+        if len(row) != n:
+            raise MatrixFormatError(f"row {idx} has {len(row)} entries, expected {n}")
+    return rows[1:]
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    """Apply the similarity J^T a J and accumulate v <- v J, J the (p,q) rotation."""
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s * vec_q
-    v[:, q] = s * vec_p + c * vec_q
+def spectral_decompose(A: SymMatrix) -> SpectralDecomposition:
+    """Eigendecomposition by LAPACK (``np.linalg.eigh``), then sorted
+    non-increasing, sign-canonicalized and zero-snapped."""
+    lam, vecs = np.linalg.eigh(A.entries)
+    return _finish_decomposition(lam, vecs)
 
 
-def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray, sign_tol: float) -> SpectralDecomposition:
+def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(-diag, kind="stable")
     lam = diag[order]
-    # Snap iteration-noise eigenvalues to exact zero.  Rank-deficient input
+    # Snap rounding-noise eigenvalues to exact zero.  Rank-deficient input
     # leaves residues around 1e-16 * scale; raised to a small power t those
     # residues would contribute O(1) phantom terms (e.g. (1e-16)^0.01 ~ 0.7),
     # so downstream consumers need true zeros here.
@@ -238,7 +185,7 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray, sign_tol: float) -
     u = vecs[:, order].copy()
     for k in range(u.shape[1]):
         col = u[:, k]
-        big = np.nonzero(np.abs(col) > sign_tol)[0]
+        big = np.nonzero(np.abs(col) > SIGN_TOL)[0]
         if big.size and col[big[0]] < 0:
             u[:, k] = -col
     lam.setflags(write=False)

@@ -24,7 +24,7 @@ from .matcore import (
     SymMatrix,
     count_distinct_eigenvalues,
     spectral_decompose,
-    _read_numeric_rows,
+    _read_square_rows,
 )
 
 
@@ -136,28 +136,13 @@ def component_bound_matrix(W: SignChangeMatrix) -> np.ndarray:
 
 def parse_sign_change_matrix(text: str, generic: bool = True) -> SignChangeMatrix:
     """Read a W matrix in the same text format as matrices: n then n rows."""
-    rows = _read_numeric_rows(text)
-    if not rows:
-        raise MatrixFormatError("empty input")
-    if len(rows[0]) != 1:
-        raise MatrixFormatError("first data line must hold the dimension only")
-    n = int(rows[0][0])
-    if n != rows[0][0] or n < 1:
-        raise MatrixFormatError(f"bad dimension {rows[0][0]!r}")
-    if len(rows) - 1 != n:
-        raise MatrixFormatError(f"expected {n} rows, found {len(rows) - 1}")
     w_rows = []
-    for idx, row in enumerate(rows[1:], start=1):
-        if len(row) != n:
-            raise MatrixFormatError(f"row {idx} has {len(row)} entries, expected {n}")
-        ints = []
+    for idx, row in enumerate(_read_square_rows(text), start=1):
         for v in row:
-            iv = int(v)
-            if iv != v or iv < 0:
+            if not (v.is_integer() and v >= 0):
                 raise MatrixFormatError(f"row {idx}: entry {v!r} is not a nonnegative integer")
-            ints.append(iv)
-        w_rows.append(tuple(ints))
-    return SignChangeMatrix(n=n, w=tuple(w_rows), generic=generic)
+        w_rows.append(tuple(int(v) for v in row))
+    return SignChangeMatrix(n=len(w_rows), w=tuple(w_rows), generic=generic)
 
 
 def format_sign_change_matrix(W: SignChangeMatrix) -> str:

@@ -128,14 +128,6 @@ class TestEnumerate:
         assert "missing (in reference, not enumerated):" not in out
         assert "0 2 2 2 3" in out
 
-    def test_method_agreement(self, tmp_path, capsys):
-        out_a = tmp_path / "direct.txt"
-        out_b = tmp_path / "rows.txt"
-        assert main(["enumerate", "--n", "4", "--method", "direct", "--out", str(out_a)]) == 0
-        assert main(["enumerate", "--n", "4", "--method", "rows", "--out", str(out_b)]) == 0
-        capsys.readouterr()
-        assert out_a.read_text() == out_b.read_text()
-
     def test_too_large(self, capsys):
         assert main(["enumerate", "--n", "9"]) == 2
         assert "error" in capsys.readouterr().err
@@ -170,6 +162,13 @@ class TestCertify:
         assert main(["certify", "--w-file", str(path)]) == 1
         out = capsys.readouterr().out
         assert "unbounded" in out
+
+    @pytest.mark.parametrize("text", ["inf\n", "nan\n", "2\n0 inf\ninf 0\n"])
+    def test_w_file_non_finite_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        assert main(["certify", "--w-file", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_requires_exactly_one_input(self, tmp_path, capsys):
         assert main(["certify"]) == 2
@@ -235,6 +234,16 @@ class TestScan:
         assert main(["scan", dn_file, "--entry", "3,1"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings_", [
+        ["--step", "0"], ["--step", "-0.5"], ["--t-min", "5", "--t-max", "1"],
+        ["--endpoint-tol", "0"], ["--entry-tol", "-1"], ["--t-max", "inf"],
+    ])
+    def test_settings_without_a_scan_rejected(self, dn_file, capsys, settings_):
+        assert main(["scan", dn_file, *settings_]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""
+
     def test_csv_out(self, dn_file, tmp_path, capsys):
         out_path = tmp_path / "scan.csv"
         assert main(["scan", dn_file, "--entry", "1,2", "--t-min", "0",
@@ -266,6 +275,27 @@ class TestTopLevel:
         assert main(["--version"]) == 0
         assert "dncrit" in capsys.readouterr().out
 
-    def test_bad_threads(self, dn_file, capsys):
-        assert main(["check", dn_file, "--threads", "0"]) == 2
-        assert "--threads" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "3", "--trials", "1", "--seed", "0", "--psd-tol", "1"],
+        ["search", "--n", "3", "--trials", "1", "--seed", "0", "--zero-tol", "1"],
+        ["enumerate", "--n", "3", "--sym-tol", "1"],
+        ["certify", "--n", "3", "--psd-tol", "1"],
+        ["witness", "--tridiagonal", "--n", "3", "--seed", "0", "--zero-tol", "1"],
+        ["check", "DN", "--zero-tol", "1"],
+        ["power", "DN", "--t", "2", "--zero-tol", "1"],
+        ["signchange", "DN", "--psd-tol", "1"],
+        ["scan", "DN", "--psd-tol", "1"],
+        ["check", "DN", "--threads", "2"],
+    ])
+    def test_flag_a_subcommand_does_not_read_rejected(self, dn_file, capsys, argv):
+        assert main([dn_file if a == "DN" else a for a in argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "DN", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
+        ["power", "DN", "--t", "2", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
+        ["signchange", "DN", "--sym-tol", "1e-9", "--zero-tol", "1e-9"],
+        ["scan", "DN", "--sym-tol", "1e-9", "--t-max", "1"],
+    ])
+    def test_tolerance_flags_accepted_where_read(self, dn_file, capsys, argv):
+        assert main([dn_file if a == "DN" else a for a in argv]) == 0

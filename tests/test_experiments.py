@@ -1,7 +1,6 @@
 """Witness constructions, theorem spot checks, and randomized searches."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from dncrit.experiments import (
     DimensionTooSmallError,
     RepeatedTopEigenvalueError,
     TooManyEigenvaluesError,
-    binomial_series_coefficients,
     random_three_eigenvalue,
     random_tridiagonal_dn,
 )
@@ -225,26 +223,7 @@ class TestPerturbation:
         data = json.loads(dc.check_perturbation(tridiag(3)).to_json())
         assert data["passed"] is True
         assert data["epsilon"] > 0
-        assert data["truncation"] == 32
-
-
-class TestBinomialSeries:
-    def test_integer_t_matches_comb(self):
-        for t in (2, 5, 9):
-            coeffs = binomial_series_coefficients(float(t), t + 4)
-            for k in range(t + 4):
-                assert coeffs[k] == pytest.approx(math.comb(t, k) if k <= t else 0.0,
-                                                  abs=1e-12)
-
-    def test_half_power(self):
-        coeffs = binomial_series_coefficients(0.5, 4)
-        assert coeffs == pytest.approx([1.0, 0.5, -0.125, 0.0625], rel=1e-12)
-
-    def test_partial_sum_approximates(self):
-        t, x = 2.5, 0.3
-        coeffs = binomial_series_coefficients(t, 40)
-        total = float(np.polynomial.polynomial.polyval(x, coeffs))
-        assert total == pytest.approx((1 + x) ** t, rel=1e-10)
+        assert "truncation" not in data
 
 
 class TestEmpiricalCritexp:

@@ -167,6 +167,20 @@ class TestScan:
         assert len(ts) == 1001
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(10.0, abs=1e-9)
 
+    @pytest.mark.parametrize("settings_", [
+        {"step": 0.0}, {"step": -0.5}, {"step": float("nan")},
+        {"t_min": 5.0, "t_max": 1.0}, {"t_max": float("inf")}, {"t_min": float("-inf")},
+        {"endpoint_tol": 0.0}, {"endpoint_tol": float("nan")},
+        {"entry_tol": -1e-12}, {"entry_tol": float("inf")},
+    ])
+    def test_settings_without_a_scan_rejected(self, settings_):
+        with pytest.raises(ValueError):
+            ScanConfig(**settings_)
+
+    def test_single_point_window_and_zero_entry_tol_accepted(self):
+        cfg = ScanConfig(t_min=2.0, t_max=2.0, entry_tol=0.0)
+        assert cfg.grid().tolist() == [2.0]
+
     def test_for_matrix_scales_entry_tol(self):
         A = sym([[200.0, 1.0], [1.0, 2.0]])
         cfg = ScanConfig.for_matrix(A)

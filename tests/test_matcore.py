@@ -1,8 +1,9 @@
-"""Foundation tests: parsing, Jacobi decomposition vs the LAPACK oracle,
-real powers, DN checks, irreducibility and primitivity."""
+"""Foundation tests: parsing, the LAPACK decomposition vs a high-precision
+mpmath oracle, real powers, DN checks, irreducibility and primitivity."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [
         "", "2\n1 2\n", "2\n1 2 3\n3 4 5\n", "x\n1\n", "1\n1 2\n", "2 2\n1 2\n2 1\n",
+        "inf\n", "nan\n",
     ])
     def test_malformed(self, text):
         with pytest.raises(MatrixFormatError):
@@ -82,14 +84,16 @@ class TestDecomposition:
                 lead = col[np.abs(col) > 1e-8][0]
                 assert lead > 0
 
-    def test_against_lapack_oracle(self):
-        for seed in range(60):
-            n = 2 + seed % 7
-            A = random_symmetric(n, seed)
-            dec = dc.spectral_decompose(A)
-            oracle = np.sort(np.linalg.eigvalsh(A.entries))[::-1]
-            scale = max(1.0, np.abs(oracle).max())
-            assert np.abs(dec.eigenvalues - oracle).max() <= 1e-11 * scale
+    def test_against_mpmath_oracle(self):
+        with mpmath.workdps(40):
+            for seed in range(60):
+                n = 2 + seed % 7
+                A = random_symmetric(n, seed)
+                dec = dc.spectral_decompose(A)
+                eigs, _ = mpmath.eigsy(mpmath.matrix(A.entries.tolist()))
+                oracle = np.sort([float(v) for v in eigs])[::-1]
+                scale = max(1.0, np.abs(oracle).max())
+                assert np.abs(dec.eigenvalues - oracle).max() <= 1e-11 * scale
 
     def test_reconstruction_and_orthogonality(self):
         for seed in range(40):
