@@ -28,7 +28,6 @@ from .exppoly import (
     ExpPoly,
     ScanConfig,
     NegativeInterval,
-    NegativeIntervalSet,
     entry_exppoly,
     eval_exppoly,
     descartes_bound,
@@ -83,7 +82,7 @@ __all__ = [
     "parse_matrix", "format_matrix", "check_dn", "spectral_decompose",
     "count_distinct_eigenvalues", "fractional_power", "matrix_power_t",
     "is_irreducible", "primitivity_index",
-    "ExpPoly", "ScanConfig", "NegativeInterval", "NegativeIntervalSet",
+    "ExpPoly", "ScanConfig", "NegativeInterval",
     "entry_exppoly", "eval_exppoly", "descartes_bound", "negative_intervals",
     "entry_critical_exponent", "matrix_critical_exponent",
     "SignChangeMatrix", "ValidationResult", "sign_change_matrix",

@@ -134,7 +134,6 @@ class CertificateReport:
 
     n: int
     num_classes: int
-    per_class_max: tuple[float, ...]
     certified_upper: float
     lower: float
     crude_upper: float
@@ -189,12 +188,12 @@ def certify_dimension(n: int) -> CertificateReport:
         raise DimensionTooLargeError("certification relies on enumeration, capped at n=6")
     classes = enumerate_w_classes(n)
     certs = tuple(ClassCertificate(w=w, bounds=entry_bounds_from_w(w)) for w in classes)
-    per_class_max = tuple(c.max_bound for c in certs)
-    finite = [m for m in per_class_max if m < UNBOUNDED]
+    maxima = [c.max_bound for c in certs]
+    finite = [m for m in maxima if m < UNBOUNDED]
     certified_upper = max(finite) if finite else UNBOUNDED
     low = lower_bound(n)
     crude = crude_bound(n)
-    bad = sum(1 for m in per_class_max if m == UNBOUNDED)
+    bad = sum(1 for m in maxima if m == UNBOUNDED)
     if bad:
         conclusion = (f"certification incomplete: {bad}/{len(certs)} classes have "
                       f"unbounded entries; m({n}) <= {crude:g} still holds")
@@ -205,7 +204,6 @@ def certify_dimension(n: int) -> CertificateReport:
     return CertificateReport(
         n=n,
         num_classes=len(certs),
-        per_class_max=per_class_max,
         certified_upper=certified_upper,
         lower=low,
         crude_upper=crude,

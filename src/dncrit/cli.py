@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .certify import certify_dimension, crude_bound, entry_bounds_from_w, lower_bound
+from .certify import (
+    UNBOUNDED,
+    _json_bound,
+    certify_dimension,
+    crude_bound,
+    entry_bounds_from_w,
+    lower_bound,
+)
 from .enumeration import enumerate_sign_patterns, enumerate_w_classes
-from .exppoly import ScanConfig, grid_entry_values
+from .exppoly import COEFF_ZERO_TOL, DEFAULT_STEP, ScanConfig, grid_entry_values
 from .matcore import (
+    PSD_TOL,
+    SYM_TOL,
     MatrixFormatError,
     NotSymmetricError,
     SymMatrix,
@@ -47,15 +58,16 @@ def _write_out(args, text: str) -> None:
             fh.write(text)
 
 
-def _scan_from_args(args, A: SymMatrix) -> ScanConfig:
-    base = ScanConfig.for_matrix(A)
-    return ScanConfig(
-        t_min=args.t_min if args.t_min is not None else base.t_min,
-        t_max=args.t_max if args.t_max is not None else base.t_max,
-        step=args.step if args.step is not None else base.step,
-        endpoint_tol=args.endpoint_tol if args.endpoint_tol is not None else base.endpoint_tol,
-        entry_tol=args.entry_tol if args.entry_tol is not None else base.entry_tol,
-    )
+def _bound_text(v: float) -> str:
+    return f"{v:g}" if v < UNBOUNDED else _json_bound(v)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerance flags: a finite float >= 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return v
 
 
 def cmd_check(args) -> int:
@@ -67,17 +79,7 @@ def cmd_check(args) -> int:
     print(f"dn={report.is_dn}")
     print(f"invertible={report.is_invertible} irreducible={report.is_irreducible} "
           f"distinct_eigenvalues={report.num_distinct_eigenvalues}")
-    _write_out(args, json.dumps({
-        "n": A.n,
-        "is_nonnegative": report.is_nonnegative,
-        "is_psd": report.is_psd,
-        "is_dn": report.is_dn,
-        "min_entry": report.min_entry,
-        "min_eigenvalue": report.min_eigenvalue,
-        "is_invertible": report.is_invertible,
-        "is_irreducible": report.is_irreducible,
-        "num_distinct_eigenvalues": report.num_distinct_eigenvalues,
-    }, indent=2))
+    _write_out(args, json.dumps({"n": A.n, **asdict(report)}, indent=2))
     return 0 if report.is_dn else 1
 
 
@@ -150,20 +152,17 @@ def cmd_certify(args) -> int:
             W = parse_sign_change_matrix(fh.read())
         bounds = entry_bounds_from_w(W)
         for row in bounds.bound:
-            print(" ".join("unbounded" if v == float("inf") else f"{v:g}" for v in row))
+            print(" ".join(_bound_text(v) for v in row))
         unbounded = bounds.num_unbounded()
-        print(f"max_bound={'unbounded' if unbounded else f'{bounds.max_bound():g}'}")
+        print(f"max_bound={_bound_text(bounds.max_bound())}")
         _write_out(args, json.dumps({
             "n": W.n,
             "w": [list(r) for r in W.w],
-            "entry_bounds": [["unbounded" if v == float("inf") else v for v in row]
-                             for row in bounds.bound],
+            "entry_bounds": [[_json_bound(v) for v in row] for row in bounds.bound],
         }, indent=2))
         return 0 if not unbounded else 1
     report = certify_dimension(args.n)
-    upper = ("unbounded" if report.certified_upper == float("inf")
-             else f"{report.certified_upper:g}")
-    print(f"classes={report.num_classes} certified_upper={upper} "
+    print(f"classes={report.num_classes} certified_upper={_bound_text(report.certified_upper)} "
           f"lower={report.lower:g} crude_upper={report.crude_upper:g} "
           f"conclusion={report.conclusion}")
     if report.num_uncertified:
@@ -194,7 +193,7 @@ def cmd_witness(args) -> int:
 
 def cmd_scan(args) -> int:
     A = _read_matrix(args.file, args.sym_tol)
-    scan = _scan_from_args(args, A)
+    scan = ScanConfig(t_min=args.t_min, t_max=args.t_max, step=args.step)
     if args.entry:
         entries = []
         for pair in args.entry:
@@ -259,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_file(p):
         p.add_argument("file")
-        p.add_argument("--sym-tol", type=float, default=1e-12,
-                       help="relative symmetry tolerance on input (default 1e-12)")
+        p.add_argument("--sym-tol", type=_tolerance, default=SYM_TOL,
+                       help="relative symmetry tolerance on input (default %(default)g)")
         add_out(p)
 
     def add_psd_tol(p):
-        p.add_argument("--psd-tol", type=float, default=1e-10,
-                       help="relative eigenvalue clamp tolerance (default 1e-10)")
+        p.add_argument("--psd-tol", type=_tolerance, default=PSD_TOL,
+                       help="relative eigenvalue clamp tolerance (default %(default)g)")
 
     p = sub.add_parser("check", help="doubly-nonnegative check of a matrix file")
     add_file(p)
@@ -280,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signchange", help="sign change matrix W of a matrix file")
     add_file(p)
-    p.add_argument("--zero-tol", type=float, default=1e-10,
-                   help="relative coefficient zero tolerance (default 1e-10)")
+    p.add_argument("--zero-tol", type=_tolerance, default=COEFF_ZERO_TOL,
+                   help="relative coefficient zero tolerance (default %(default)g)")
     p.set_defaults(func=cmd_signchange)
 
     p = sub.add_parser("enumerate", help="enumerate sign patterns / W classes")
@@ -308,14 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_file(p)
     p.add_argument("--entry", action="append",
                    help="1-based i,j pair; repeatable; default all i <= j")
-    p.add_argument("--t-min", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None,
-                   help="grid step (default 0.01)")
-    p.add_argument("--endpoint-tol", type=float, default=None,
-                   help="bisection tolerance for interval endpoints (default 1e-9)")
-    p.add_argument("--entry-tol", type=float, default=None,
-                   help="negativity threshold (default 1e-9 * max |entry|)")
+    p.add_argument("--t-min", type=float, default=0.0)
+    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP,
+                   help="grid step (default %(default)g)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("search", help="randomized hunt for large empirical critical exponents")

@@ -20,7 +20,7 @@ default_rng([seed, trial]) so reports reproduce bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class WitnessReport:
         return {
             "matrix": self.matrix.entries.tolist(),
             "claims": [{"description": d, "verified": ok} for d, ok in self.claims],
-            "scan": _scan_dict(self.scan),
+            "scan": asdict(self.scan),
             "min_value": self.min_value,
             "argmin_t": self.argmin_t,
             "empirical_critexp": self.empirical_critexp,
@@ -118,23 +118,13 @@ class PerturbationReport:
             "epsilon": self.epsilon,
             "verified_range": list(self.verified_range),
             "passed": self.passed,
-            "scan": _scan_dict(self.scan),
+            "scan": asdict(self.scan),
             "min_value": self.min_value,
             "argmin_t": self.argmin_t,
         }
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _scan_dict(scan: ScanConfig) -> dict:
-    return {
-        "t_min": scan.t_min,
-        "t_max": scan.t_max,
-        "step": scan.step,
-        "endpoint_tol": scan.endpoint_tol,
-        "entry_tol": scan.entry_tol,
-    }
 
 
 def random_dn(n: int, rank: int, seed: int) -> SymMatrix:
@@ -185,7 +175,7 @@ def tridiagonal_witness(n: int, seed: int, scan: ScanConfig | None = None) -> Wi
     mid_val = eval_exppoly(f, t_mid)
     found = negative_intervals(f, scan)
     window = None
-    for iv in found.intervals:
+    for iv in found:
         if iv.lo <= t_mid <= iv.hi:
             window = (iv.lo, iv.hi)
             break
@@ -193,13 +183,12 @@ def tridiagonal_witness(n: int, seed: int, scan: ScanConfig | None = None) -> Wi
                  and window[0] >= n - 3 - 1e-6 and window[1] <= n - 2 + 1e-6)
 
     ts = scan.grid()
-    tail = ts[ts >= n - 2 - 1e-12]
-    tail_vals = eval_exppoly(f, tail)
+    all_vals = eval_exppoly(f, ts)
+    tail_vals = all_vals[ts >= n - 2 - 1e-12]
     tail_ok = bool((tail_vals >= -scan.entry_tol).all())
 
-    all_vals = eval_exppoly(f, ts)
     k = int(np.argmin(all_vals))
-    critexp = max((iv.hi for iv in found.intervals), default=0.0)
+    critexp = max((iv.hi for iv in found), default=0.0)
 
     claims = (
         ("matrix is DN, invertible, irreducible",

@@ -46,7 +46,6 @@ class ExpPoly:
     coefficients: tuple[float, ...]
     singular: bool = False
     sign_cut: float = 0.0
-    entry_index: tuple[int, int] | None = None
 
     def __post_init__(self):
         if len(self.bases) != len(self.coefficients):
@@ -59,10 +58,6 @@ class ExpPoly:
 
     def __call__(self, t):
         return eval_exppoly(self, t)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.bases)
 
     def significant_coefficients(self) -> tuple[float, ...]:
         """Coefficients with the below-cut ones replaced by exact zeros."""
@@ -118,28 +113,11 @@ class NegativeInterval:
     hi_clipped: bool = False
 
 
-@dataclass(frozen=True)
-class NegativeIntervalSet:
-    """Disjoint ascending negativity intervals found within the scan window."""
-
-    intervals: tuple[NegativeInterval, ...]
-    scan_range: tuple[float, float]
-    endpoint_tol: float
-    entry_index: tuple[int, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-
 def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
-                  zero_tol: float = COEFF_ZERO_TOL,
-                  merge_tol: float = MERGE_TOL) -> ExpPoly:
+                  zero_tol: float = COEFF_ZERO_TOL) -> ExpPoly:
     """Exponential polynomial of entry (i, j), 0-based.
 
-    Coefficients of (numerically) equal eigenvalues are merged; zero bases
+    Coefficients of eigenvalues within MERGE_TOL are merged; zero bases
     are dropped with the singular flag set; coefficients at or below
     zero_tol * max|c| stay in the term list but are excluded from sign
     counting via sign_cut.
@@ -154,7 +132,7 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
     bases: list[float] = []
     coeffs: list[float] = []
     for k in range(lam.size):
-        if bases and bases[-1] - lam[k] <= merge_tol * scale:
+        if bases and bases[-1] - lam[k] <= MERGE_TOL * scale:
             coeffs[-1] += float(raw_coeff[k])
         else:
             bases.append(float(lam[k]))
@@ -168,8 +146,7 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
 
     cmax = max((abs(c) for c in coeffs), default=0.0)
     return ExpPoly(bases=tuple(bases), coefficients=tuple(coeffs),
-                   singular=singular, sign_cut=zero_tol * cmax,
-                   entry_index=(i, j))
+                   singular=singular, sign_cut=zero_tol * cmax)
 
 
 def eval_exppoly(f: ExpPoly, t):
@@ -224,11 +201,10 @@ def sign_changes(seq) -> int:
     return count
 
 
-def grid_sign_alternations(f: ExpPoly, ts: np.ndarray,
-                           zero_band: float = EVAL_ZERO_BAND) -> int:
+def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:
     """Sign alternations of f along the grid.
 
-    Values within zero_band * sum_k |c_k| b_k^t are treated as zero so that
+    Values within EVAL_ZERO_BAND * sum_k |c_k| b_k^t are treated as zero so that
     roots hit (nearly) exactly by a grid point do not double-count.
     """
     ts = np.asarray(ts, dtype=float)
@@ -238,12 +214,13 @@ def grid_sign_alternations(f: ExpPoly, ts: np.ndarray,
     b = np.array(f.bases)
     c = np.abs(np.array(f.coefficients))
     scale = c @ np.power(b[:, None], ts[None, :])
-    signs = np.where(np.abs(vals) <= zero_band * scale, 0.0, np.sign(vals))
+    signs = np.where(np.abs(vals) <= EVAL_ZERO_BAND * scale, 0.0, np.sign(vals))
     return sign_changes(signs)
 
 
-def negative_intervals(f: ExpPoly, scan: ScanConfig) -> NegativeIntervalSet:
-    """Maximal intervals inside [t_min, t_max] where f < -entry_tol.
+def negative_intervals(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, ...]:
+    """Maximal intervals inside [t_min, t_max] where f < -entry_tol, disjoint
+    and ascending.
 
     Grid scan at ``step`` resolution, then bisection refinement of each
     endpoint down to ``endpoint_tol``.  Dips narrower than the step can be
@@ -271,10 +248,7 @@ def negative_intervals(f: ExpPoly, scan: ScanConfig) -> NegativeIntervalSet:
         intervals.append(NegativeInterval(lo=float(lo), hi=float(hi),
                                           lo_clipped=lo_clip, hi_clipped=hi_clip))
         idx += 1
-    return NegativeIntervalSet(intervals=tuple(intervals),
-                               scan_range=(scan.t_min, scan.t_max),
-                               endpoint_tol=scan.endpoint_tol,
-                               entry_index=f.entry_index)
+    return tuple(intervals)
 
 
 def _bisect_edge(f: ExpPoly, t_out: float, t_in: float, scan: ScanConfig) -> float:
@@ -299,10 +273,7 @@ def _bisect_edge(f: ExpPoly, t_out: float, t_in: float, scan: ScanConfig) -> flo
 def entry_critical_exponent(f: ExpPoly, scan: ScanConfig) -> float:
     """Supremum of upper endpoints of negativity intervals in the window, or
     0.0 when the entry never dips below -entry_tol there."""
-    found = negative_intervals(f, scan)
-    if not found.intervals:
-        return 0.0
-    return max(iv.hi for iv in found.intervals)
+    return max((iv.hi for iv in negative_intervals(f, scan)), default=0.0)
 
 
 def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:

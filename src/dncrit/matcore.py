@@ -193,13 +193,7 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecompo
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
 
 
-def check_dn(
-    A: SymMatrix,
-    psd_tol: float = PSD_TOL,
-    invert_tol: float = INVERT_TOL,
-    merge_tol: float = MERGE_TOL,
-    nonneg_tol: float = 0.0,
-) -> DnReport:
+def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL) -> DnReport:
     """Report nonnegativity, positive semi-definiteness, invertibility,
     irreducibility, and the distinct-eigenvalue count."""
     dec = spectral_decompose(A)
@@ -207,7 +201,7 @@ def check_dn(
     scale = max(1.0, float(lam[0]))
     min_entry = float(A.entries.min())
     min_eig = float(lam[-1])
-    is_nonneg = min_entry >= -nonneg_tol
+    is_nonneg = min_entry >= 0.0
     is_psd = min_eig >= -psd_tol * scale
     return DnReport(
         is_nonnegative=is_nonneg,
@@ -215,19 +209,20 @@ def check_dn(
         is_dn=is_nonneg and is_psd,
         min_entry=min_entry,
         min_eigenvalue=min_eig,
-        is_invertible=min_eig > invert_tol * scale,
+        is_invertible=min_eig > INVERT_TOL * scale,
         is_irreducible=is_irreducible(A),
-        num_distinct_eigenvalues=count_distinct_eigenvalues(lam, merge_tol),
+        num_distinct_eigenvalues=count_distinct_eigenvalues(lam),
     )
 
 
-def count_distinct_eigenvalues(eigenvalues: np.ndarray, merge_tol: float = MERGE_TOL) -> int:
-    """Count eigenvalue groups after merging values closer than the tolerance."""
+def count_distinct_eigenvalues(eigenvalues: np.ndarray) -> int:
+    """Count eigenvalue groups after merging values closer than MERGE_TOL
+    (relative to max(1, |lam_1|))."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     scale = max(1.0, abs(float(lam[0])))
     count = 1
     for a, b in zip(lam, lam[1:]):
-        if a - b > merge_tol * scale:
+        if a - b > MERGE_TOL * scale:
             count += 1
     return count
 
@@ -237,8 +232,11 @@ def fractional_power(dec: SpectralDecomposition, t: float, psd_tol: float = PSD_
 
     Eigenvalues within the PSD tolerance band below zero are clamped to 0;
     anything lower raises NegativeEigenvalueError.  Conventions: 0^t = 0 for
-    t > 0 and 0^0 = 1, so A^0 = I even for singular A.
+    t > 0 and 0^0 = 1, so A^0 = I even for singular A.  A non-finite t
+    raises ValueError.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"power t must be finite, got {t!r}")
     lam = clamp_psd(dec.eigenvalues, psd_tol)
     if t < 0 and np.any(lam == 0.0):
         raise ZeroToNegativePowerError(f"t={t} < 0 with a zero eigenvalue")

@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exppoly import descartes_bound, entry_exppoly
+from .exppoly import COEFF_ZERO_TOL, descartes_bound, entry_exppoly
 from .matcore import (
-    MERGE_TOL,
     MatrixFormatError,
     SymMatrix,
     count_distinct_eigenvalues,
     spectral_decompose,
     _read_square_rows,
 )
+
+ZERO_COORD_TOL = 1e-8    # relative: an eigenvector coordinate at or below this
+                         # times the column's largest coordinate counts as zero
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,6 @@ class SignChangeMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.w, dtype=int)
 
-    def max_entry(self) -> int:
-        return max(max(row) for row in self.w)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.w[i][j]
@@ -59,27 +58,23 @@ class ValidationResult:
     violations: tuple[str, ...]
 
 
-def sign_change_matrix(dec, zero_tol: float = None,
-                       zero_coord_tol: float = 1e-8) -> SignChangeMatrix:
+def sign_change_matrix(dec, zero_tol: float = COEFF_ZERO_TOL) -> SignChangeMatrix:
     """Compute W from a spectral decomposition (a SymMatrix is decomposed
     on the fly).
 
     The generic flag demands n distinct eigenvalues and no eigenvector
-    coordinate within zero_coord_tol of zero (relative to the largest
+    coordinate within ZERO_COORD_TOL of zero (relative to the largest
     coordinate of that eigenvector); only then are the structural row and
     column limits guaranteed.
     """
-    from .exppoly import COEFF_ZERO_TOL
-    if zero_tol is None:
-        zero_tol = COEFF_ZERO_TOL
     if isinstance(dec, SymMatrix):
         dec = spectral_decompose(dec)
     n = dec.n
-    distinct = count_distinct_eigenvalues(dec.eigenvalues, MERGE_TOL) == n
+    distinct = count_distinct_eigenvalues(dec.eigenvalues) == n
     coord_ok = True
     for k in range(n):
         col = np.abs(dec.eigenvectors[:, k])
-        if col.min() <= zero_coord_tol * col.max():
+        if col.min() <= ZERO_COORD_TOL * col.max():
             coord_ok = False
             break
     rows = []
@@ -127,14 +122,7 @@ def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
     return ValidationResult(ok=not violations, violations=tuple(violations))
 
 
-def component_bound_matrix(W: SignChangeMatrix) -> np.ndarray:
-    """Entry-wise negative-interval bounds floor((w-1)/2)."""
-    arr = W.as_array()
-    out = np.where(arr > 0, (arr - 1) // 2, 0)
-    return out
-
-
-def parse_sign_change_matrix(text: str, generic: bool = True) -> SignChangeMatrix:
+def parse_sign_change_matrix(text: str) -> SignChangeMatrix:
     """Read a W matrix in the same text format as matrices: n then n rows."""
     w_rows = []
     for idx, row in enumerate(_read_square_rows(text), start=1):
@@ -142,7 +130,7 @@ def parse_sign_change_matrix(text: str, generic: bool = True) -> SignChangeMatri
             if not (v.is_integer() and v >= 0):
                 raise MatrixFormatError(f"row {idx}: entry {v!r} is not a nonnegative integer")
         w_rows.append(tuple(int(v) for v in row))
-    return SignChangeMatrix(n=len(w_rows), w=tuple(w_rows), generic=generic)
+    return SignChangeMatrix(n=len(w_rows), w=tuple(w_rows))
 
 
 def format_sign_change_matrix(W: SignChangeMatrix) -> str:

@@ -51,6 +51,10 @@ class TestCheck:
         assert main(["check", dn_file, "--out", str(out_path)]) == 0
         capsys.readouterr()
         data = json.loads(out_path.read_text())
+        assert list(data) == ["n", "is_nonnegative", "is_psd", "is_dn", "min_entry",
+                              "min_eigenvalue", "is_invertible", "is_irreducible",
+                              "num_distinct_eigenvalues"]
+        assert data["n"] == 2
         assert data["is_dn"] is True
         assert data["num_distinct_eigenvalues"] == 2
 
@@ -81,6 +85,14 @@ class TestPower:
         assert main(["power", dn_file, "--t", "0"]) == 0
         out = parse_matrix(capsys.readouterr().out)
         assert out.entries == pytest.approx(np.eye(2), abs=1e-12)
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_t_rejected(self, dn_file, capsys, t):
+        assert main(["power", dn_file, "--t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "finite" in captured.err
+        assert captured.out == ""
 
     def test_out_file(self, dn_file, tmp_path, capsys):
         out_path = tmp_path / "pow.txt"
@@ -236,7 +248,7 @@ class TestScan:
 
     @pytest.mark.parametrize("settings_", [
         ["--step", "0"], ["--step", "-0.5"], ["--t-min", "5", "--t-max", "1"],
-        ["--endpoint-tol", "0"], ["--entry-tol", "-1"], ["--t-max", "inf"],
+        ["--t-max", "inf"],
     ])
     def test_settings_without_a_scan_rejected(self, dn_file, capsys, settings_):
         assert main(["scan", dn_file, *settings_]) == 2
@@ -286,6 +298,8 @@ class TestTopLevel:
         ["signchange", "DN", "--psd-tol", "1"],
         ["scan", "DN", "--psd-tol", "1"],
         ["check", "DN", "--threads", "2"],
+        ["scan", "DN", "--endpoint-tol", "0"],
+        ["scan", "DN", "--entry-tol", "-1"],
     ])
     def test_flag_a_subcommand_does_not_read_rejected(self, dn_file, capsys, argv):
         assert main([dn_file if a == "DN" else a for a in argv]) == 2
@@ -296,6 +310,25 @@ class TestTopLevel:
         ["power", "DN", "--t", "2", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
         ["signchange", "DN", "--sym-tol", "1e-9", "--zero-tol", "1e-9"],
         ["scan", "DN", "--sym-tol", "1e-9", "--t-max", "1"],
+        ["check", "DN", "--sym-tol", "0", "--psd-tol", "0"],
     ])
     def test_tolerance_flags_accepted_where_read(self, dn_file, capsys, argv):
         assert main([dn_file if a == "DN" else a for a in argv]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "DN", "--psd-tol", "nan"],
+        ["check", "DN", "--psd-tol=-1e-10"],
+        ["check", "DN", "--sym-tol", "-1"],
+        ["check", "DN", "--sym-tol", "inf"],
+        ["power", "DN", "--t", "2", "--psd-tol", "inf"],
+        ["power", "DN", "--t", "2", "--sym-tol", "nan"],
+        ["signchange", "DN", "--zero-tol", "nan"],
+        ["signchange", "DN", "--zero-tol", "-1"],
+        ["scan", "DN", "--sym-tol=-inf"],
+    ])
+    def test_tolerance_flags_need_finite_nonnegative(self, dn_file, capsys, argv):
+        assert main([dn_file if a == "DN" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert "tolerance must be finite and >= 0" in captured.err
+        assert captured.out == ""
+

@@ -99,6 +99,10 @@ class TestTridiagonalWitness:
     def test_json_fields(self):
         rep = dc.tridiagonal_witness(4, seed=1)
         data = json.loads(rep.to_json())
+        assert list(data) == ["matrix", "claims", "scan", "min_value", "argmin_t",
+                              "empirical_critexp", "negative_window", "verified"]
+        assert list(data["scan"]) == ["t_min", "t_max", "step", "endpoint_tol", "entry_tol"]
+        assert data["scan"]["entry_tol"] == rep.scan.entry_tol
         assert data["verified"] is True
         assert len(data["claims"]) == 4
         assert len(data["matrix"]) == 4

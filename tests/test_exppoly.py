@@ -201,7 +201,7 @@ class TestScan:
                           entry_tol=1e-9 * A.max_abs())
         found = dc.negative_intervals(f, scan)
         assert len(found) == 1
-        iv = found.intervals[0]
+        iv = found[0]
         assert iv.lo == pytest.approx(1.0, abs=1e-6)
         assert iv.hi == pytest.approx(2.0, abs=1e-6)
         assert not iv.lo_clipped and not iv.hi_clipped
@@ -218,7 +218,7 @@ class TestScan:
         found = dc.negative_intervals(f, scan)
         assert len(found) >= 1
         prev_hi = -np.inf
-        for iv in found.intervals:
+        for iv in found:
             assert iv.lo < iv.hi
             assert iv.lo >= prev_hi
             prev_hi = iv.hi
@@ -232,7 +232,7 @@ class TestScan:
                           entry_tol=1e-9 * A.max_abs())
         found = dc.negative_intervals(f, scan)
         assert len(found) == 1
-        iv = found.intervals[0]
+        iv = found[0]
         assert iv.lo == 1.2 and iv.lo_clipped
         assert iv.hi == 1.8 and iv.hi_clipped
 

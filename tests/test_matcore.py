@@ -149,6 +149,12 @@ class TestPowers:
         with pytest.raises(ZeroToNegativePowerError):
             dc.matrix_power_t(A, -1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_power_rejected(self, t):
+        dec = dc.spectral_decompose(sym([[2, 1], [1, 2]]))
+        with pytest.raises(ValueError, match="finite"):
+            dc.fractional_power(dec, t)
+
     def test_negative_power_invertible(self):
         A = sym([[2, 1], [1, 2]])
         inv = dc.matrix_power_t(A, -1.0)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import dncrit as dc
 from dncrit.signchange import (
     SignChangeMatrix,
-    component_bound_matrix,
     format_sign_change_matrix,
     parse_sign_change_matrix,
 )
@@ -101,14 +100,6 @@ class TestComponentBound:
     ])
     def test_table(self, w, expected):
         assert dc.component_bound(w) == expected
-
-    def test_matrix_form(self):
-        W = SignChangeMatrix(n=3, w=((0, 1, 2), (1, 0, 1), (2, 1, 0)))
-        assert (component_bound_matrix(W) == np.array(
-            [[0, 0, 0], [0, 0, 0], [0, 0, 0]])).all()
-        W = SignChangeMatrix(n=4, w=((0, 1, 2, 3), (1, 0, 3, 2),
-                                     (2, 3, 0, 1), (3, 2, 1, 0)))
-        assert component_bound_matrix(W).max() == 1
 
     @given(st.integers(0, 50))
     @settings(max_examples=30, deadline=None, derandomize=True)
