@@ -248,7 +248,7 @@ class TestScan:
 
     @pytest.mark.parametrize("settings_", [
         ["--step", "0"], ["--step", "-0.5"], ["--t-min", "5", "--t-max", "1"],
-        ["--t-max", "inf"],
+        ["--t-min", "nan"], ["--step", "inf"], ["--t-max", "inf"],
     ])
     def test_settings_without_a_scan_rejected(self, dn_file, capsys, settings_):
         assert main(["scan", dn_file, *settings_]) == 2
