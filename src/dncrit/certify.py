@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import DimensionTooLargeError, enumerate_w_classes
+from .enumeration import ENUM_MAX_N, DimensionTooLargeError, enumerate_w_classes
 from .signchange import SignChangeMatrix, validate_sign_change_matrix
 
 UNBOUNDED = math.inf
@@ -184,8 +184,9 @@ def certify_dimension(n: int) -> CertificateReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > 6:
-        raise DimensionTooLargeError("certification relies on enumeration, capped at n=6")
+    if n > ENUM_MAX_N:
+        raise DimensionTooLargeError(
+            f"certification relies on enumeration, capped at n={ENUM_MAX_N}")
     classes = enumerate_w_classes(n)
     certs = tuple(ClassCertificate(w=w, bounds=entry_bounds_from_w(w)) for w in classes)
     maxima = [c.max_bound for c in certs]

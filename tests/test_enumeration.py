@@ -1,15 +1,43 @@
 """Sign-pattern enumeration, W construction from patterns, canonicalization,
 and the per-dimension class sets (including cross-validation of the row-set
-reduction against canonicalizing every pattern's W)."""
+reduction against canonicalizing every pattern's W), the packed W keys the
+enumeration sweeps over, and pins of the n=5 and n=6 class lists."""
 
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
-from dncrit.enumeration import DimensionTooLargeError, SignPattern, _canonical_flat
+from dncrit.enumeration import (
+    DimensionTooLargeError,
+    SignPattern,
+    _canonical_flat,
+    _pack_keys,
+    _unpack_key,
+)
+
+
+def _symmetric(n, upper):
+    w = np.zeros((n, n), dtype=np.int8)
+    w[np.triu_indices(n, 1)] = upper
+    return w + w.T
+
+
+@st.composite
+def w_pairs(draw):
+    """Two symmetric zero-diagonal n x n matrices, entries 0..n-1, n = 1..6,
+    sharing a drawn prefix of their upper triangles so that the first
+    difference can fall on any entry."""
+    n = draw(st.integers(1, 6))
+    m = n * (n - 1) // 2
+    a = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    k = draw(st.integers(0, m))
+    b = a[:k] + draw(st.lists(st.integers(0, n - 1), min_size=m - k, max_size=m - k))
+    return _symmetric(n, a), _symmetric(n, b)
 
 
 class TestPatterns:
@@ -129,6 +157,38 @@ class TestCanonicalization:
             dc.canonicalize_w(W)
 
 
+class TestPackedKeys:
+    @given(w_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_round_trip_and_lexicographic_order(self, pair):
+        a, b = pair
+        n = a.shape[0]
+        ka, kb = _pack_keys(np.stack([a, b]))
+        assert np.array_equal(_unpack_key(ka, n), a)
+        assert np.array_equal(_unpack_key(kb, n), b)
+        fa, fb = tuple(a.ravel().tolist()), tuple(b.ravel().tolist())
+        assert (ka < kb) == (fa < fb)
+        assert (ka == kb) == (fa == fb)
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2), min_size=1, max_size=40))))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_sweep_gives_one_canonical_form_per_orbit(self, drawn):
+        # the sweep run on an arbitrary raw key set, against brute force
+        n, uppers = drawn
+        ws = np.stack([_symmetric(n, u) for u in uppers])
+        expected = sorted({tuple(_canonical_flat(w).tolist()) for w in ws})
+        keys = np.unique(_pack_keys(ws))
+        with mock.patch("dncrit.enumeration._raw_w_from_row_sets", return_value=keys):
+            got = [sum(W.w, ()) for W in dc.enumerate_w_classes(n)]
+        assert got == expected
+
+    def test_n1_key_is_zero(self):
+        assert _pack_keys(np.zeros((1, 1, 1), dtype=np.int8)).tolist() == [0]
+        assert _unpack_key(0, 1).tolist() == [[0]]
+
+
 class TestClassSets:
     def test_n2(self):
         classes = dc.enumerate_w_classes(2)
@@ -168,6 +228,31 @@ class TestClassSets:
     def test_cap(self):
         with pytest.raises(DimensionTooLargeError):
             dc.enumerate_w_classes(7)
+
+    @pytest.mark.parametrize("n, digest", [
+        (5, "b5b31f1fc603ae80cf080ce056fa7e19468fe762e0a1c8d892c7891ef32f2260"),
+        (6, "4258dc9769702d4cbb3905056f51e32fba8863869b84fd55f411813b27f452ad"),
+    ], ids=["n5", "n6"])
+    def test_class_list_pinned(self, n, digest):
+        # sha256 of the int8 row-major flattenings, stacked in enumeration order
+        flats = np.array([W.w for W in dc.enumerate_w_classes(n)], dtype=np.int8)
+        assert hashlib.sha256(flats.tobytes()).hexdigest() == digest
+
+    def test_sampled_n6_patterns_land_in_enumerated_set(self):
+        # oracle: brute-force canonical form of the W of 2,000 seeded
+        # admissible n=6 patterns, drawn independently of the row-set path
+        allowed = {W.w for W in dc.enumerate_w_classes(6)}
+        rng = np.random.default_rng(2024)
+        s = np.ones((6, 6), dtype=int)
+        checked = 0
+        while checked < 2000:
+            s[1:, 1:] = rng.choice((1, -1), size=(5, 5))
+            rows = tuple(map(tuple, s.tolist()))
+            if len(set(rows)) < 6 or len(set(zip(*rows))) < 6:
+                continue
+            W = dc.pattern_to_w(SignPattern(n=6, s=rows))
+            assert dc.canonicalize_w(W).w in allowed
+            checked += 1
 
     def test_soundness_random_generic(self, class_sets):
         # canonical W of a generic DN matrix lands in the enumerated set
