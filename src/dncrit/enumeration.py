@@ -107,94 +107,94 @@ def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
     return SignChangeMatrix(n=W.n, w=tuple(map(tuple, w)), generic=W.generic)
 
 
-def _orbit(arr: np.ndarray) -> np.ndarray:
-    """All n! relabelings P arr P^T, stacked as an (n!, n, n) array."""
+def _canonical_flat(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     if n > CANON_MAX_N:
         raise DimensionTooLargeError(f"canonicalization capped at n={CANON_MAX_N}")
     perms = _perms(n)
-    return arr[perms[:, :, None], perms[:, None, :]]
-
-
-def _canonical_flat(arr: np.ndarray) -> np.ndarray:
-    variants = _orbit(arr).reshape(-1, arr.size)
+    variants = arr[perms[:, :, None], perms[:, None, :]].reshape(-1, arr.size)
     return variants[np.lexsort(variants.T[::-1])[0]]
 
 
 def _key_shifts(n: int) -> np.ndarray:
-    """Bit offset of each strict-upper entry, row-major, 3 bits each, first on top."""
+    """Bit offset of each strict-upper entry of W in its uint64 key (entries
+    0..7, n <= 7), row-major, 3 bits each, first on top: for symmetric W with
+    zero diagonal, key order is the order of the row-major flattenings."""
     return np.arange(n * (n - 1) // 2, dtype=np.uint64)[::-1] * np.uint64(3)
 
 
-def _pack_keys(ws: np.ndarray) -> np.ndarray:
-    """One uint64 key per symmetric zero-diagonal W in the (B, n, n) stack
-    (entries 0..7, n <= 7: at most 63 bits).  The diagonal is zero and the
-    lower triangle mirrors the upper, so the first difference of two row-major
-    flattenings lies in the upper triangle: key order is lexicographic order."""
-    iu, ju = np.triu_indices(ws.shape[-1], 1)
-    upper = ws[:, iu, ju].astype(np.uint64)
-    return np.bitwise_or.reduce(upper << _key_shifts(ws.shape[-1]), axis=1)
-
-
 def _unpack_key(key, n: int) -> np.ndarray:
-    """The n x n W matrix (int8) that ``_pack_keys`` maps to ``key``."""
+    """The n x n W matrix (int8) packed into ``key``."""
     w = np.zeros((n, n), dtype=np.int8)
     w[np.triu_indices(n, 1)] = (np.uint64(key) >> _key_shifts(n)) & np.uint64(7)
     return w + w.T
+
+
+@functools.cache
+def _orbit_sources(n: int) -> np.ndarray:
+    """src[p, e]: the entry of W's key that entry e of (P W P^T)'s key reads."""
+    iu, ju = np.triu_indices(n, 1)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    return pos[_perms(n)[:, iu], _perms(n)[:, ju]]
 
 
 def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     """All sign-change-matrix classes arising from admissible sign patterns,
     as canonical forms sorted by their row-major flattening.
 
-    Works on unordered sets of pattern rows rather than on ordered patterns
-    (n=6: 169,911 row sets -> 126,651 column-distinct -> 46,652 distinct raw
-    W -> 399 classes), then sweeps orbits: the smallest live raw key's n!
-    orbit gives its class's canonical (minimum) key and retires every raw key
-    in it, so the work is classes x n!, not raw W x n!.
+    Works on unordered sets of pattern rows (n=6: 169,911 row sets -> 126,651
+    column-distinct -> 18,903 raw keys -> 399 classes), then sweeps orbits:
+    the smallest live key's n! orbit, permuted key to key, gives its class's
+    canonical (minimum) key and retires all its raw keys: classes x n! work.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_MAX_N:
         raise DimensionTooLargeError(f"class enumeration capped at n={ENUM_MAX_N}")
     keys = _raw_w_from_row_sets(n)
+    src, shifts = _orbit_sources(n), _key_shifts(n)
     alive = np.ones(len(keys), dtype=bool)
     canonical = []
-    while alive.any():
-        orbit = _pack_keys(_orbit(_unpack_key(keys[alive.argmax()], n)))
+    cur = 0
+    while alive[cur]:  # keys[cur] is the smallest live key
+        orbit = np.bitwise_or.reduce(((keys[cur] >> shifts) & 7)[src] << shifts, axis=1)
         canonical.append(orbit.min())
         at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
         alive[at[keys[at] == orbit]] = False
+        cur += int(alive[cur:].argmax())  # stays on the retired keys[cur] if none is left
     return tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, _unpack_key(key, n).tolist())))
                  for key in sorted(canonical))
 
 
 def _raw_w_from_row_sets(n: int) -> np.ndarray:
-    """Sorted distinct packed keys (see ``_pack_keys``) of the raw W matrices
-    of unordered choices of the non-first pattern rows.
+    """Sorted distinct packed keys of the raw W of the admissible row sets.
 
-    Every admissible pattern is a permutation (below row 1) of exactly one
-    such row set, and relabeling rows permutes W within its class, so the
-    canonical class set is unchanged.  Vectorized over all C(2^(n-1)-1, n-1)
-    row sets at once: 169,911 at n=6.  Never builds the (N, n, n) W stack.
+    A row with a leading + is an (n-1)-bit flip word f (bit k: a sign change
+    between columns k and k+1), so row 1 is the word 0, the row's sign in
+    column k is the parity of f's low k bits, and W_ij = popcount(f_i XOR f_j).
+    Every admissible pattern permutes (below row 1) exactly one set of
+    increasing words, and relabeling rows permutes W within its class.  All
+    C(2^(n-1)-1, n-1) sets are handled at once: 169,911 at n=6.
     """
     m = n - 1
-    pool = np.array([(1,) + tail for tail in itertools.product((1, -1), repeat=m)],
-                    dtype=np.int8)[1:]  # row equal to row 1 is never admissible
-    combos = np.array(list(itertools.combinations(range(len(pool)), m)), dtype=np.intp)
-    rows = np.concatenate(
-        [np.ones((len(combos), 1, n), dtype=np.int8), pool[combos]], axis=1)
+    if m == 0:
+        return np.zeros(1, dtype=np.uint64)
+    pop = np.array([f.bit_count() for f in range(2 ** m)], dtype=np.uint64)
+    pre = (pop[np.arange(2 ** m)[:, None] & ((1 << np.arange(n)) - 1)] & 1).astype(np.uint8)
+    sets = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(1, 2 ** m), m)), np.uint8).reshape(-1, m)
+    flips = np.concatenate([np.zeros((len(sets), 1), dtype=np.uint8), sets], axis=1)
 
-    # column distinctness: encode each column's n signs as a bit code
-    codes = np.zeros((len(combos), n), dtype=np.uint8)
-    for i in range(n):
-        codes |= (rows[:, i, :] > 0).view(np.uint8) << i
+    # column distinctness: column k's code has bit i set when row i is - there
+    codes = np.zeros((len(flips), n), dtype=np.uint8)
+    for i in range(1, n):
+        codes |= pre[flips[:, i]] << i
     codes.sort(axis=1)
-    rows = rows[(np.diff(codes, axis=1) != 0).all(axis=1)]
+    flips = flips[(np.diff(codes, axis=1) != 0).all(axis=1)]
 
     # pack W's upper triangle into one key per row set, pair by pair
-    keys = np.zeros(len(rows), dtype=np.uint64)
+    keys = np.zeros(len(flips), dtype=np.uint64)
     for (i, j), shift in zip(zip(*np.triu_indices(n, 1)), _key_shifts(n)):
-        prod = rows[:, i, :] * rows[:, j, :]
-        keys |= (prod[:, 1:] != prod[:, :-1]).sum(axis=1).astype(np.uint64) << shift
+        keys |= pop[flips[:, i] ^ flips[:, j]] << shift
     return np.unique(keys)

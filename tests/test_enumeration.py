@@ -1,6 +1,7 @@
 """Sign-pattern enumeration, W construction from patterns, canonicalization,
 and the per-dimension class sets (including cross-validation of the row-set
-reduction against canonicalizing every pattern's W), the packed W keys the
+reduction against canonicalizing every pattern's W), the flip-word lemma the
+row-set reduction rests on, the packed W keys and key-level orbits the
 enumeration sweeps over, and pins of the n=5 and n=6 class lists."""
 
 import hashlib
@@ -16,9 +17,24 @@ from dncrit.enumeration import (
     DimensionTooLargeError,
     SignPattern,
     _canonical_flat,
-    _pack_keys,
+    _key_shifts,
+    _orbit_sources,
+    _raw_w_from_row_sets,
     _unpack_key,
 )
+
+
+def _pack_keys(ws):
+    """Oracle: one uint64 key per W in the (B, n, n) stack, its strict upper
+    triangle row-major at 3 bits per entry, the first entry on top."""
+    iu, ju = np.triu_indices(ws.shape[-1], 1)
+    shifts = 3 * np.arange(len(iu) - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(ws[:, iu, ju].astype(np.uint64) << shifts, axis=1)
+
+
+def _flip_word(row):
+    """Bit k set when the row changes sign between columns k and k+1."""
+    return sum(1 << k for k in range(len(row) - 1) if row[k] != row[k + 1])
 
 
 def _symmetric(n, upper):
@@ -157,6 +173,38 @@ class TestCanonicalization:
             dc.canonicalize_w(W)
 
 
+class TestFlipWords:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_w_is_popcount_of_xored_flip_words(self, n):
+        for p in dc.enumerate_sign_patterns(n):
+            f = [_flip_word(row) for row in p.s]
+            assert f[0] == 0
+            popcounts = tuple(tuple(bin(a ^ b).count("1") for b in f) for a in f)
+            assert dc.pattern_to_w(p).w == popcounts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_prefix_parity_accepts_exactly_the_admissible_row_sets(self, n):
+        # column k of a row set reads the parity of each word's low k bits
+        accepted = set()
+        for words in itertools.combinations(range(1, 2 ** (n - 1)), n - 1):
+            cols = {tuple(bin(f & ((1 << k) - 1)).count("1") % 2 for f in (0,) + words)
+                    for k in range(n)}
+            if len(cols) == n:
+                accepted.add(words)
+        admissible = {tuple(sorted(_flip_word(row) for row in p.s[1:]))
+                      for p in dc.enumerate_sign_patterns(n)}
+        assert accepted == admissible
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_raw_keys_are_the_w_of_word_sorted_patterns(self, n):
+        # each admissible pattern with its rows in increasing flip-word order
+        ws = np.stack([dc.pattern_to_w(SignPattern(n=n, s=tuple(sorted(p.s, key=_flip_word))))
+                       .as_array() for p in dc.enumerate_sign_patterns(n)])
+        keys = _raw_w_from_row_sets(n)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == sorted(set(_pack_keys(ws).tolist()))
+
+
 class TestPackedKeys:
     @given(w_pairs())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -183,6 +231,19 @@ class TestPackedKeys:
         with mock.patch("dncrit.enumeration._raw_w_from_row_sets", return_value=keys):
             got = [sum(W.w, ()) for W in dc.enumerate_w_classes(n)]
         assert got == expected
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, 7), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_key_level_orbit_matches_matrix_orbit(self, drawn):
+        # the sweep's orbit expression, against P W P^T packed in permutation order
+        n, upper = drawn
+        w = _symmetric(n, upper)
+        expected = _pack_keys(np.stack(
+            [w[np.ix_(p, p)] for p in itertools.permutations(range(n))]))
+        key, shifts = _pack_keys(w[None])[0], _key_shifts(n)
+        got = np.bitwise_or.reduce(((key >> shifts) & 7)[_orbit_sources(n)] << shifts, axis=1)
+        assert got.tolist() == expected.tolist()
 
     def test_n1_key_is_zero(self):
         assert _pack_keys(np.zeros((1, 1, 1), dtype=np.int8)).tolist() == [0]
