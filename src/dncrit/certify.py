@@ -84,27 +84,13 @@ def entry_bounds_from_w(W: SignChangeMatrix) -> EntryBoundMatrix:
     result = validate_sign_change_matrix(W)
     if not result.ok:
         raise InvalidWError("; ".join(result.violations))
-    n = W.n
     arr = W.as_array()
-    row_ok = [bool(arr[i].max(initial=0) <= 4) for i in range(n)]
-    row_m = [int((arr[i] > 2).sum()) for i in range(n)]
-    bounds = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = int(arr[i, j])
-            cands = []
-            if w <= 1:
-                cands.append(0.0)
-            if w == 2:
-                cands.append(1.0)
-            if row_ok[i]:
-                cands.append(float(row_m[i] + 1))
-            if row_ok[j]:                       # column j mirrors row j: W symmetric
-                cands.append(float(row_m[j] + 1))
-            row.append(min(cands) if cands else UNBOUNDED)
-        bounds.append(tuple(row))
-    return EntryBoundMatrix(n=n, bound=tuple(bounds))
+    # row rule, M+1 for rows with every entry <= 4; column j mirrors row j (W symmetric)
+    row = np.where((arr <= 4).all(axis=1), (arr > 2).sum(axis=1) + 1.0, UNBOUNDED)
+    bound = np.minimum.outer(row, row)
+    bound[arr == 2] = 1.0   # every row bound is at least 1
+    bound[arr <= 1] = 0.0
+    return EntryBoundMatrix(n=W.n, bound=tuple(map(tuple, bound.tolist())))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .certify import (
     entry_bounds_from_w,
     lower_bound,
 )
-from .enumeration import enumerate_sign_patterns, enumerate_w_classes
+from .enumeration import _count_sign_patterns, enumerate_sign_patterns, enumerate_w_classes
 from .exppoly import COEFF_ZERO_TOL, DEFAULT_STEP, ScanConfig, grid_entry_values
 from .matcore import (
     PSD_TOL,
@@ -108,19 +108,24 @@ def cmd_signchange(args) -> int:
     return 0 if result.ok else 1
 
 
+def _pattern_text(n: int):
+    """The sign patterns as +/- rows, a blank line between two patterns,
+    one pattern at a time."""
+    sep = ""
+    for p in enumerate_sign_patterns(n):
+        yield sep + "\n".join(p.rows_text())
+        sep = "\n\n"
+    yield "\n"
+
+
 def cmd_enumerate(args) -> int:
     if args.emit_patterns:
-        chunks = []
-        count = 0
-        for p in enumerate_sign_patterns(args.n):
-            chunks.append("\n".join(p.rows_text()))
-            count += 1
-        body = "\n\n".join(chunks) + "\n"
-        print(f"n={args.n}: {count} sign patterns")
+        print(f"n={args.n}: {_count_sign_patterns(args.n)} sign patterns")
         if args.out:
-            _write_out(args, body)
+            with open(args.out, "w") as fh:
+                fh.writelines(_pattern_text(args.n))
         else:
-            sys.stdout.write(body)
+            sys.stdout.writelines(_pattern_text(args.n))
         return 0
     classes = enumerate_w_classes(args.n)
     body = "\n".join(format_sign_change_matrix(w) for w in classes)

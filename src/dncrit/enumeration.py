@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,6 +76,17 @@ def enumerate_sign_patterns(n: int) -> Iterator[SignPattern]:
     yield from rec(1)
 
 
+def _count_sign_patterns(n: int) -> int:
+    """How many patterns ``enumerate_sign_patterns(n)`` yields, without
+    yielding them: column-distinct sets of increasing flip words times the
+    (n-1)! orders of the rows below row 1 (see ``_raw_w_from_row_sets``)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > ENUM_MAX_N:
+        raise DimensionTooLargeError(f"pattern enumeration capped at n={ENUM_MAX_N}")
+    return sum(len(chunk) for chunk in _raw_key_chunks(n)) * math.factorial(n - 1)
+
+
 def pattern_to_w(p: SignPattern) -> SignChangeMatrix:
     """W[i][j] = sign changes of (s_i1 s_j1, ..., s_in s_jn)."""
     n = p.n
@@ -123,11 +135,13 @@ def _key_shifts(n: int) -> np.ndarray:
     return np.arange(n * (n - 1) // 2, dtype=np.uint64)[::-1] * np.uint64(3)
 
 
-def _unpack_key(key, n: int) -> np.ndarray:
-    """The n x n W matrix (int8) packed into ``key``."""
-    w = np.zeros((n, n), dtype=np.int8)
-    w[np.triu_indices(n, 1)] = (np.uint64(key) >> _key_shifts(n)) & np.uint64(7)
-    return w + w.T
+def _unpack_keys(keys, n: int) -> np.ndarray:
+    """The n x n W matrices (int8) packed into ``keys``: shape keys.shape + (n, n)."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    iu, ju = np.triu_indices(n, 1)
+    w = np.zeros(keys.shape + (n, n), dtype=np.int8)
+    w[..., iu, ju] = (keys[..., None] >> _key_shifts(n)) & np.uint64(7)
+    return w + np.swapaxes(w, -1, -2)
 
 
 @functools.cache
@@ -143,10 +157,12 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     """All sign-change-matrix classes arising from admissible sign patterns,
     as canonical forms sorted by their row-major flattening.
 
-    Works on unordered sets of pattern rows (n=6: 169,911 row sets -> 126,651
+    Works on unordered sets of pattern rows, streamed in chunks by their
+    first flip word (n=6: 169,911 row sets in 31 chunks -> 126,651
     column-distinct -> 18,903 raw keys -> 399 classes), then sweeps orbits:
     the smallest live key's n! orbit, permuted key to key, gives its class's
     canonical (minimum) key and retires all its raw keys: classes x n! work.
+    The canonical keys are unpacked in one batch.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -163,8 +179,8 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
         at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
         alive[at[keys[at] == orbit]] = False
         cur += int(alive[cur:].argmax())  # stays on the retired keys[cur] if none is left
-    return tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, _unpack_key(key, n).tolist())))
-                 for key in sorted(canonical))
+    ws = _unpack_keys(np.sort(np.array(canonical, dtype=np.uint64)), n).tolist()
+    return tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, w))) for w in ws)
 
 
 def _raw_w_from_row_sets(n: int) -> np.ndarray:
@@ -174,27 +190,78 @@ def _raw_w_from_row_sets(n: int) -> np.ndarray:
     between columns k and k+1), so row 1 is the word 0, the row's sign in
     column k is the parity of f's low k bits, and W_ij = popcount(f_i XOR f_j).
     Every admissible pattern permutes (below row 1) exactly one set of
-    increasing words, and relabeling rows permutes W within its class.  All
-    C(2^(n-1)-1, n-1) sets are handled at once: 169,911 at n=6.
+    increasing words, and relabeling rows permutes W within its class, so an
+    admissible n-set of words stands for (n-1)! patterns.  The sets come in
+    chunks from ``_raw_key_chunks``, each deduplicated before the merge.
+    """
+    keys = np.concatenate([_dedupe(chunk) for chunk in _raw_key_chunks(n)])
+    return _dedupe(keys)
+
+
+def _dedupe(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted in place, with repeats dropped."""
+    keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
+    """Packed raw-W keys of the column-distinct sets of increasing words, one
+    key per set, in lexicographic set order, duplicates kept.
+
+    Chunk a holds the sets whose smallest nonzero word is a, for a = 1 ..
+    2^(n-1)-1: word a followed by each (n-2)-word tail of larger words.  The
+    tails are built once, in lexicographic order, so chunk a takes a suffix
+    of them (empty once fewer than n-2 words exceed a); n=6 has 31,465
+    tails in place of 169,911 sets.  The parts of the key and of the column
+    codes that do not involve word a are computed on the tails once, too.
+
+    Column distinctness: byte k of par[f] is the parity of f's low k bits,
+    i.e. f's sign in column k, so ORing par[f_r] << (r-1) over the rows r
+    below row 1 gives, byte by byte, each column's code (bit r-1: row r is
+    - there; row 1 is + everywhere and is left out).  A set is column-
+    distinct when no code repeats, which a running seen/dup mask over the
+    2^(n-1) possible codes tells (one uint64, n <= 7).
     """
     m = n - 1
     if m == 0:
-        return np.zeros(1, dtype=np.uint64)
+        yield np.zeros(1, dtype=np.uint64)
+        return
+    words = np.arange(2 ** m)
     pop = np.array([f.bit_count() for f in range(2 ** m)], dtype=np.uint64)
-    pre = (pop[np.arange(2 ** m)[:, None] & ((1 << np.arange(n)) - 1)] & 1).astype(np.uint8)
-    sets = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(1, 2 ** m), m)), np.uint8).reshape(-1, m)
-    flips = np.concatenate([np.zeros((len(sets), 1), dtype=np.uint8), sets], axis=1)
+    bytes_ = np.arange(0, 8 * n, 8, dtype=np.uint64)
+    par = np.bitwise_or.reduce(
+        (pop[words[:, None] & ((1 << np.arange(n)) - 1)] & 1) << bytes_, axis=1)
+    shift = np.zeros((n, n), dtype=np.uint64)
+    shift[np.triu_indices(n, 1)] = _key_shifts(n)
 
-    # column distinctness: column k's code has bit i set when row i is - there
-    codes = np.zeros((len(flips), n), dtype=np.uint8)
-    for i in range(1, n):
-        codes |= pre[flips[:, i]] << i
-    codes.sort(axis=1)
-    flips = flips[(np.diff(codes, axis=1) != 0).all(axis=1)]
+    count = math.comb(2 ** m - 1, m - 1)
+    tails = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(1, 2 ** m), m - 1)), np.uint8, count * (m - 1))
+    tails = tails.reshape(count, m - 1)  # count, not -1: m-1 = 0 at n=2
+    tail_code = np.zeros(count, dtype=np.uint64)
+    tail_key = np.zeros(count, dtype=np.uint64)
+    for j in range(m - 1):  # tail word j is row j+2
+        t = tails[:, j]
+        tail_code |= par[t] << np.uint64(j + 1)
+        tail_key |= pop[t] << shift[0, j + 2]
+        for i in range(j):
+            tail_key |= pop[tails[:, i] ^ t] << shift[i + 2, j + 2]
+    # each tail's smallest word (2^m, past every a, for n=2's empty tail) rises
+    # with the tail's index, so the tails above a start where it first exceeds a
+    starts = np.searchsorted(tails.min(axis=1, initial=2 ** m), words[1:], side="right")
 
-    # pack W's upper triangle into one key per row set, pair by pair
-    keys = np.zeros(len(flips), dtype=np.uint64)
-    for (i, j), shift in zip(zip(*np.triu_indices(n, 1)), _key_shifts(n)):
-        keys |= pop[flips[:, i] ^ flips[:, j]] << shift
-    return np.unique(keys)
+    for a, s in zip(range(1, 2 ** m), starts.tolist()):
+        code = par[a] | tail_code[s:]
+        seen = np.ones(len(code), dtype=np.uint64)  # column 0's code is always 0
+        dup = np.zeros(len(code), dtype=np.uint64)
+        for k in bytes_[1:]:
+            bit = np.uint64(1) << ((code >> k) & np.uint64(255))
+            dup |= seen & bit
+            seen |= bit
+        keep = np.flatnonzero(dup == 0) + s
+        key = tail_key[keep] | pop[a] << shift[0, 1]
+        for j in range(m - 1):
+            key |= pop[a ^ tails[keep, j]] << shift[1, j + 2]
+        yield key

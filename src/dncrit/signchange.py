@@ -98,28 +98,33 @@ def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
     Violations are reported with 1-based positions so they read naturally next
     to printed matrices.
     """
-    n = W.n
     arr = W.as_array()
+    cap = W.n - 1
+    at_cap = arr == cap
+    diag = np.diagonal(arr)
+    over = arr.max(axis=1, initial=0) > cap
+    multi_row = at_cap.sum(axis=1) > 1
+    multi_col = at_cap.sum(axis=0) > 1
+    symmetric = (arr == arr.T).all()
+    negative = (arr < 0).any()
+    if symmetric and not (diag.any() or negative or over.any() or multi_row.any()
+                          or multi_col.any()):
+        return ValidationResult(ok=True, violations=())
     violations: list[str] = []
-    if not (arr == arr.T).all():
+    if not symmetric:
         violations.append("not symmetric")
-    for i in range(n):
-        if arr[i, i] != 0:
-            violations.append(f"diagonal entry ({i + 1},{i + 1}) = {arr[i, i]} nonzero")
-    if (arr < 0).any():
+    violations += [f"diagonal entry ({i + 1},{i + 1}) = {diag[i]} nonzero"
+                   for i in np.flatnonzero(diag)]
+    if negative:
         violations.append("negative entries present")
-    cap = n - 1
-    for i in range(n):
-        row = arr[i]
-        if row.max(initial=0) > cap:
+    for i in np.flatnonzero(over | multi_row):
+        if over[i]:
             violations.append(f"row {i + 1} exceeds {cap}")
-        if int((row == cap).sum()) > 1 and cap > 0:
+        if multi_row[i]:
             violations.append(f"row {i + 1} has multiple entries equal to {cap}")
-    for j in range(n):
-        col = arr[:, j]
-        if int((col == cap).sum()) > 1 and cap > 0:
-            violations.append(f"column {j + 1} has multiple entries equal to {cap}")
-    return ValidationResult(ok=not violations, violations=tuple(violations))
+    violations += [f"column {j + 1} has multiple entries equal to {cap}"
+                   for j in np.flatnonzero(multi_col)]
+    return ValidationResult(ok=False, violations=tuple(violations))
 
 
 def parse_sign_change_matrix(text: str) -> SignChangeMatrix:

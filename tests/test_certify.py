@@ -1,14 +1,64 @@
-"""Closed-form bounds, entry-bound rules, and dimension certificates."""
+"""Closed-form bounds, entry-bound rules (against an entry-by-entry oracle),
+and dimension certificates."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
 from dncrit.certify import InvalidWError, k_of_n
 from dncrit.signchange import SignChangeMatrix
+
+
+def _entry_bounds_oracle(W):
+    """The entry rules applied one entry at a time: the minimum over the
+    rules that apply, math.inf when none does."""
+    n = W.n
+    arr = W.as_array()
+    row_ok = [bool(arr[i].max(initial=0) <= 4) for i in range(n)]
+    row_m = [int((arr[i] > 2).sum()) for i in range(n)]
+    bounds = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            w = int(arr[i, j])
+            cands = []
+            if w <= 1:
+                cands.append(0.0)
+            if w == 2:
+                cands.append(1.0)
+            if row_ok[i]:
+                cands.append(float(row_m[i] + 1))
+            if row_ok[j]:                       # column j mirrors row j: W symmetric
+                cands.append(float(row_m[j] + 1))
+            row.append(min(cands) if cands else math.inf)
+        bounds.append(tuple(row))
+    return tuple(bounds)
+
+
+@st.composite
+def valid_w(draw):
+    """A W that passes structural validation, n = 2..8: symmetric, zero
+    diagonal, off-diagonal entries 0..n-2, plus a drawn matching of entry
+    pairs raised to the cap n-1 (at most one per row and column)."""
+    n = draw(st.integers(2, 8))
+    w = np.zeros((n, n), dtype=int)
+    iu, ju = np.triu_indices(n, 1)
+    upper = draw(st.lists(st.integers(0, n - 2), min_size=len(iu), max_size=len(iu)))
+    w[iu, ju] = upper
+    order = draw(st.permutations(list(range(n))))
+    for k in range(draw(st.integers(0, n // 2))):
+        i, j = sorted(order[2 * k:2 * k + 2])
+        w[i, j] = n - 1
+    w = w + w.T
+    return SignChangeMatrix(n=n, w=tuple(map(tuple, w.tolist())), generic=draw(st.booleans()))
+
+
+def _w(rows, generic=True):
+    return SignChangeMatrix(n=len(rows), w=tuple(map(tuple, rows)), generic=generic)
 
 
 class TestClosedForms:
@@ -95,6 +145,38 @@ class TestEntryBounds:
             arr = dc.entry_bounds_from_w(W).as_array()
             assert (arr == arr.T).all()
             assert (np.diag(arr) == 0).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_oracle_on_every_class(self, n):
+        for W in dc.enumerate_w_classes(n):
+            assert dc.entry_bounds_from_w(W).bound == _entry_bounds_oracle(W)
+
+    # row 1 holds 1, 2, 3, 4 and 5; row 2's maximum is 4 (passes the <= 4
+    # test); row 3's is 5 (fails it)
+    @example(_w([[0, 1, 2, 3, 4, 5, 1], [1, 0, 4, 3, 1, 2, 0], [2, 4, 0, 5, 1, 0, 3],
+                 [3, 3, 5, 0, 2, 1, 1], [4, 1, 1, 2, 0, 0, 0], [5, 2, 0, 1, 0, 0, 2],
+                 [1, 0, 3, 1, 0, 2, 0]]))
+    @example(_w([[0, 5, 5, 5, 5, 5, 5], [5, 0, 5, 5, 5, 5, 5], [5, 5, 0, 5, 5, 5, 5],
+                 [5, 5, 5, 0, 5, 5, 5], [5, 5, 5, 5, 0, 5, 5], [5, 5, 5, 5, 5, 0, 5],
+                 [5, 5, 5, 5, 5, 5, 0]], generic=False))
+    @given(valid_w())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_oracle_on_drawn_w(self, W):
+        assert dc.validate_sign_change_matrix(W).ok
+        assert dc.entry_bounds_from_w(W).bound == _entry_bounds_oracle(W)
+
+    @pytest.mark.parametrize("top, expected", [(4, 3.0), (5, math.inf)],
+                             ids=["row-max-4", "row-max-5"])
+    def test_row_rule_edge(self, top, expected):
+        # entry (1,2) = 3 in rows whose maxima are `top`: only the row rule
+        # can bound it, with M = 2 entries above 2
+        w = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
+        w[0, 1] = w[1, 0] = 3
+        w[0, 2] = w[2, 0] = w[1, 3] = w[3, 1] = top
+        W = _w(w.tolist(), generic=False)
+        bounds = dc.entry_bounds_from_w(W)
+        assert bounds.bound[0][1] == bounds.bound[1][0] == expected
+        assert bounds.bound == _entry_bounds_oracle(W)
 
     def test_invalid_w_rejected(self):
         W = SignChangeMatrix(n=2, w=((1, 1), (1, 0)))

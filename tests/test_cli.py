@@ -1,10 +1,12 @@
 """End-to-end command-line interface tests, run in-process via main(argv)."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import dncrit as dc
 from dncrit.cli import main
 from dncrit.matcore import parse_matrix
 
@@ -118,6 +120,13 @@ class TestSignChange:
         assert out_path.read_text() == "2\n0 1\n1 0\n"
 
 
+def _first_mismatch(got, expected):
+    """None when the texts are equal, else (line number, got line, expected
+    line) of the first difference: cheap to report for long texts."""
+    pairs = itertools.zip_longest(got.splitlines(True), expected.splitlines(True))
+    return next(((k, g, e) for k, (g, e) in enumerate(pairs, 1) if g != e), None)
+
+
 class TestEnumerate:
     def test_classes_n3(self, capsys):
         assert main(["enumerate", "--n", "3"]) == 0
@@ -130,6 +139,25 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert "n=2: 1 sign patterns" in out
         assert "++\n+-" in out
+
+    def test_patterns_n4_text(self, tmp_path, capsys):
+        # the patterns' +/- rows with a blank line between two patterns,
+        # written to stdout or to --out one pattern at a time
+        pats = list(dc.enumerate_sign_patterns(4))
+        head = f"n=4: {len(pats)} sign patterns\n"
+        body = "\n\n".join("\n".join(p.rows_text()) for p in pats) + "\n"
+        assert main(["enumerate", "--n", "4", "--emit-patterns"]) == 0
+        assert _first_mismatch(capsys.readouterr().out, head + body) is None
+        out_path = tmp_path / "patterns.txt"
+        assert main(["enumerate", "--n", "4", "--emit-patterns", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == head
+        assert _first_mismatch(out_path.read_text(), body) is None
+
+    def test_patterns_too_large(self, capsys):
+        assert main(["enumerate", "--n", "7", "--emit-patterns"]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""
 
     def test_n5_reports_discrepancy(self, capsys):
         assert main(["enumerate", "--n", "5"]) == 0

@@ -1,11 +1,13 @@
 """Sign-pattern enumeration, W construction from patterns, canonicalization,
 and the per-dimension class sets (including cross-validation of the row-set
 reduction against canonicalizing every pattern's W), the flip-word lemma the
-row-set reduction rests on, the packed W keys and key-level orbits the
-enumeration sweeps over, and pins of the n=5 and n=6 class lists."""
+row-set reduction rests on, the chunked raw-key stage against a monolithic
+oracle, the packed W keys and key-level orbits the enumeration sweeps over,
+and pins of the n=5 and n=6 class lists and of their per-entry bounds."""
 
 import hashlib
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,9 +20,11 @@ from dncrit.enumeration import (
     SignPattern,
     _canonical_flat,
     _key_shifts,
+    _count_sign_patterns,
     _orbit_sources,
+    _raw_key_chunks,
     _raw_w_from_row_sets,
-    _unpack_key,
+    _unpack_keys,
 )
 
 
@@ -30,6 +34,30 @@ def _pack_keys(ws):
     iu, ju = np.triu_indices(ws.shape[-1], 1)
     shifts = 3 * np.arange(len(iu) - 1, -1, -1, dtype=np.uint64)
     return np.bitwise_or.reduce(ws[:, iu, ju].astype(np.uint64) << shifts, axis=1)
+
+
+def _raw_keys_monolithic(n):
+    """Oracle: the packed raw-W key of every column-distinct set of increasing
+    flip words, all C(2^(n-1)-1, n-1) sets at once, in lexicographic set
+    order, duplicates kept."""
+    m = n - 1
+    if m == 0:
+        return np.zeros(1, dtype=np.uint64)
+    pop = np.array([f.bit_count() for f in range(2 ** m)], dtype=np.uint64)
+    pre = (pop[np.arange(2 ** m)[:, None] & ((1 << np.arange(n)) - 1)] & 1).astype(np.uint8)
+    sets = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(1, 2 ** m), m)), np.uint8).reshape(-1, m)
+    flips = np.concatenate([np.zeros((len(sets), 1), dtype=np.uint8), sets], axis=1)
+    # column distinctness: column k's code has bit i set when row i is - there
+    codes = np.zeros((len(flips), n), dtype=np.uint8)
+    for i in range(1, n):
+        codes |= pre[flips[:, i]] << i
+    codes.sort(axis=1)
+    flips = flips[(np.diff(codes, axis=1) != 0).all(axis=1)]
+    keys = np.zeros(len(flips), dtype=np.uint64)
+    for (i, j), shift in zip(zip(*np.triu_indices(n, 1)), _key_shifts(n)):
+        keys |= pop[flips[:, i] ^ flips[:, j]] << shift
+    return keys
 
 
 def _flip_word(row):
@@ -205,6 +233,43 @@ class TestFlipWords:
         assert keys.tolist() == sorted(set(_pack_keys(ws).tolist()))
 
 
+class TestRawKeyChunks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_chunks_match_the_monolithic_stage(self, n):
+        chunks = list(_raw_key_chunks(n))
+        assert all(c.dtype == np.uint64 for c in chunks)
+        expected = _raw_keys_monolithic(n)
+        assert np.concatenate(chunks).tolist() == expected.tolist()
+        assert _raw_w_from_row_sets(n).tolist() == np.unique(expected).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_chunk_per_first_word(self, n):
+        # chunk a holds the sets whose smallest nonzero word is a; once fewer
+        # than n-2 words exceed a, no tail is left and the chunk is empty
+        m = n - 1
+        sets = list(itertools.combinations(range(1, 2 ** m), m))
+        sizes = [len(c) for c in _raw_key_chunks(n)]
+        assert len(sizes) == 2 ** m - 1
+        assert all(sizes[a - 1] <= sum(1 for s in sets if s[0] == a)
+                   for a in range(1, 2 ** m))
+        assert all(size == 0 for size in sizes[2 ** m - m:])
+        assert sizes[0] > 0
+
+    def test_n6_raw_key_count(self):
+        assert len(_raw_w_from_row_sets(6)) == 18903
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pattern_count(self, n):
+        assert _count_sign_patterns(n) == sum(1 for _ in dc.enumerate_sign_patterns(n))
+
+    def test_pattern_count_n6_and_caps(self):
+        assert _count_sign_patterns(6) == 126651 * math.factorial(5)
+        with pytest.raises(DimensionTooLargeError):
+            _count_sign_patterns(7)
+        with pytest.raises(ValueError):
+            _count_sign_patterns(0)
+
+
 class TestPackedKeys:
     @given(w_pairs())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -212,8 +277,9 @@ class TestPackedKeys:
         a, b = pair
         n = a.shape[0]
         ka, kb = _pack_keys(np.stack([a, b]))
-        assert np.array_equal(_unpack_key(ka, n), a)
-        assert np.array_equal(_unpack_key(kb, n), b)
+        assert np.array_equal(_unpack_keys(ka, n), a)
+        assert np.array_equal(_unpack_keys(kb, n), b)
+        assert np.array_equal(_unpack_keys(np.array([ka, kb]), n), np.stack([a, b]))
         fa, fb = tuple(a.ravel().tolist()), tuple(b.ravel().tolist())
         assert (ka < kb) == (fa < fb)
         assert (ka == kb) == (fa == fb)
@@ -247,7 +313,7 @@ class TestPackedKeys:
 
     def test_n1_key_is_zero(self):
         assert _pack_keys(np.zeros((1, 1, 1), dtype=np.int8)).tolist() == [0]
-        assert _unpack_key(0, 1).tolist() == [[0]]
+        assert _unpack_keys(0, 1).tolist() == [[0]]
 
 
 class TestClassSets:
@@ -298,6 +364,17 @@ class TestClassSets:
         # sha256 of the int8 row-major flattenings, stacked in enumeration order
         flats = np.array([W.w for W in dc.enumerate_w_classes(n)], dtype=np.int8)
         assert hashlib.sha256(flats.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, digest", [
+        (5, "be0d7a6c28877e1b4e8fb966411a6a4454aa8fbeae538a0c73a92df938e2a76b"),
+        (6, "0194011843fbd6db3c9947039b5ad33f50d05cf9ca96adeec81d55d80b2fff18"),
+    ], ids=["n5", "n6"])
+    def test_entry_bounds_pinned(self, n, digest):
+        # sha256 of the float64 per-entry bounds of certify_dimension(n),
+        # stacked in class order; inf marks an unbounded entry
+        bounds = np.array([c.bounds.bound for c in dc.certify_dimension(n).classes],
+                          dtype=np.float64)
+        assert hashlib.sha256(bounds.tobytes()).hexdigest() == digest
 
     def test_sampled_n6_patterns_land_in_enumerated_set(self):
         # oracle: brute-force canonical form of the W of 2,000 seeded

@@ -61,7 +61,54 @@ class TestConstruction:
             assert result.ok, result.violations
 
 
+def _violations_oracle(W):
+    """The structural checks one row and column at a time, in report order."""
+    n = W.n
+    arr = W.as_array()
+    violations = []
+    if not (arr == arr.T).all():
+        violations.append("not symmetric")
+    for i in range(n):
+        if arr[i, i] != 0:
+            violations.append(f"diagonal entry ({i + 1},{i + 1}) = {arr[i, i]} nonzero")
+    if (arr < 0).any():
+        violations.append("negative entries present")
+    cap = n - 1
+    for i in range(n):
+        row = arr[i]
+        if row.max(initial=0) > cap:
+            violations.append(f"row {i + 1} exceeds {cap}")
+        if int((row == cap).sum()) > 1 and cap > 0:
+            violations.append(f"row {i + 1} has multiple entries equal to {cap}")
+    for j in range(n):
+        if int((arr[:, j] == cap).sum()) > 1 and cap > 0:
+            violations.append(f"column {j + 1} has multiple entries equal to {cap}")
+    return tuple(violations)
+
+
+@st.composite
+def near_w(draw):
+    """An n x n integer matrix, n = 1..7, entries -1..n, symmetric and with a
+    zero diagonal unless drawn otherwise: mostly invalid, sometimes valid."""
+    n = draw(st.integers(1, 7))
+    lo = draw(st.sampled_from([0, 0, -1]))
+    w = np.array(draw(st.lists(st.integers(lo, n), min_size=n * n, max_size=n * n)),
+                 dtype=int).reshape(n, n)
+    if draw(st.booleans()):
+        w = np.triu(w, 1) + np.triu(w, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(w, 0)
+    return SignChangeMatrix(n=n, w=tuple(map(tuple, w.tolist())))
+
+
 class TestValidation:
+    @given(near_w())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_messages_match_oracle(self, W):
+        result = dc.validate_sign_change_matrix(W)
+        assert result.violations == _violations_oracle(W)
+        assert result.ok == (not result.violations)
+
     def test_toeplitz_ok(self):
         w = tuple(tuple(abs(i - j) for j in range(5)) for i in range(5))
         result = dc.validate_sign_change_matrix(SignChangeMatrix(n=5, w=w))
