@@ -22,7 +22,6 @@ from .matcore import (
     fractional_power,
     matrix_power_t,
     is_irreducible,
-    primitivity_index,
 )
 from .exppoly import (
     ExpPoly,
@@ -81,7 +80,7 @@ __all__ = [
     "SymMatrix", "DnReport", "SpectralDecomposition",
     "parse_matrix", "format_matrix", "check_dn", "spectral_decompose",
     "count_distinct_eigenvalues", "fractional_power", "matrix_power_t",
-    "is_irreducible", "primitivity_index",
+    "is_irreducible",
     "ExpPoly", "ScanConfig", "NegativeInterval",
     "entry_exppoly", "eval_exppoly", "descartes_bound", "negative_intervals",
     "entry_critical_exponent", "matrix_critical_exponent",

@@ -153,8 +153,8 @@ class CertificateReport:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _json_bound(v: float):

@@ -44,36 +44,20 @@ class SignPattern:
 def enumerate_sign_patterns(n: int) -> Iterator[SignPattern]:
     """Yield every admissible sign pattern exactly once.
 
-    Order is deterministic: the free (n-1) x (n-1) lower-right block runs
-    through a row-major binary counter with +1 before -1.  Rows that would
-    duplicate an earlier row prune the whole subtree, which does not disturb
-    the order.
+    Order is deterministic: the n-1 rows below the all-+ first row run
+    through the ordered choices of distinct rows, in the order of a row-major
+    binary counter with +1 before -1; choices whose columns repeat are
+    skipped.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_MAX_N:
         raise DimensionTooLargeError(f"pattern enumeration capped at n={ENUM_MAX_N}")
-    first = tuple([1] * n)
-    if n == 1:
-        yield SignPattern(n=1, s=(first,))
-        return
-    row_choices = [(1,) + tail for tail in itertools.product((1, -1), repeat=n - 1)]
-    rows = [first]
-
-    def rec(depth: int) -> Iterator[SignPattern]:
-        if depth == n:
-            cols = tuple(zip(*rows))
-            if len(set(cols)) == n:
-                yield SignPattern(n=n, s=tuple(rows))
-            return
-        for cand in row_choices:
-            if cand in rows:
-                continue
-            rows.append(cand)
-            yield from rec(depth + 1)
-            rows.pop()
-
-    yield from rec(1)
+    first, *others = [(1,) + tail for tail in itertools.product((1, -1), repeat=n - 1)]
+    for rest in itertools.permutations(others, n - 1):
+        rows = (first, *rest)
+        if len(set(zip(*rows))) == n:
+            yield SignPattern(n=n, s=rows)
 
 
 def _count_sign_patterns(n: int) -> int:

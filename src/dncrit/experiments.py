@@ -35,13 +35,11 @@ from .exppoly import (
     negative_intervals,
 )
 from .matcore import (
-    MERGE_TOL,
     NotDoublyNonnegativeError,
     NotIrreducibleError,
     NotPrimitiveError,
     SymMatrix,
     check_dn,
-    count_distinct_eigenvalues,
     spectral_decompose,
 )
 
@@ -95,8 +93,8 @@ class WitnessReport:
             "verified": self.verified,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,8 @@ class PerturbationReport:
             "argmin_t": self.argmin_t,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def random_dn(n: int, rank: int, seed: int) -> SymMatrix:
@@ -235,7 +233,7 @@ def three_eigenvalue_matrix(kind: str, params=None) -> SymMatrix:
         for v in vecs:
             a = a + np.outer(v, v)
         A = SymMatrix.from_array(a)
-        distinct = count_distinct_eigenvalues(spectral_decompose(A).eigenvalues)
+        distinct = spectral_decompose(A).group_starts.size
         if distinct > 3:
             raise TooManyEigenvaluesError(f"custom construction has {distinct} eigenvalues")
         return A
@@ -263,16 +261,13 @@ def check_three_eigenvalue_theorem(A: SymMatrix, scan: ScanConfig | None = None)
     if scan is None:
         scan = ScanConfig.for_matrix(A, t_min=1.0, t_max=10.0)
     dec = spectral_decompose(A)
-    distinct = count_distinct_eigenvalues(dec.eigenvalues)
+    distinct = dec.group_starts.size
     if distinct > 3:
         raise TooManyEigenvaluesError(f"{distinct} distinct eigenvalues (> 3)")
     report = check_dn(A)
     ts = scan.grid()
     ts = ts[ts >= 1.0 - 1e-12]
-    vals = grid_entry_values(dec, ts)
-    per_t_min = vals.min(axis=(0, 1))
-    k = int(np.argmin(per_t_min))
-    ok = bool(per_t_min[k] >= -scan.entry_tol)
+    min_value, argmin_t, ok = _grid_minimum(grid_entry_values(dec, ts), ts, scan.entry_tol)
     claims = (
         ("matrix is DN with at most three distinct eigenvalues", report.is_dn),
         (f"min entry of A^t >= -entry_tol on grid t in [1, {scan.t_max:g}]", ok),
@@ -281,8 +276,8 @@ def check_three_eigenvalue_theorem(A: SymMatrix, scan: ScanConfig | None = None)
         matrix=A,
         claims=claims,
         scan=scan,
-        min_value=float(per_t_min[k]),
-        argmin_t=float(ts[k]),
+        min_value=min_value,
+        argmin_t=argmin_t,
         empirical_critexp=matrix_critical_exponent(A, scan),
     )
 
@@ -295,8 +290,8 @@ def check_monotonicity(A: SymMatrix, r: float, scan: ScanConfig | None = None) -
     if r < 0:
         raise ValueError("r must be nonnegative")
     dec = spectral_decompose(A)
-    lam = dec.eigenvalues
-    if A.n > 1 and lam[0] - lam[1] <= MERGE_TOL * max(1.0, lam[0]):
+    # the top group ends where the second starts, or at n when it is alone
+    if np.append(dec.group_starts[1:], A.n)[0] > 1:
         raise RepeatedTopEigenvalueError("top eigenvalue is not simple")
     x1 = dec.eigenvectors[:, 0]
     B = SymMatrix.from_array(A.entries + r * np.outer(x1, x1))
@@ -304,9 +299,7 @@ def check_monotonicity(A: SymMatrix, r: float, scan: ScanConfig | None = None) -
         scan = ScanConfig.for_matrix(A, t_min=0.0, t_max=10.0)
     ts = scan.grid()
     diff = grid_entry_values(spectral_decompose(B), ts) - grid_entry_values(dec, ts)
-    per_t_min = diff.min(axis=(0, 1))
-    k = int(np.argmin(per_t_min))
-    ok = bool(per_t_min[k] >= -scan.entry_tol)
+    min_value, argmin_t, ok = _grid_minimum(diff, ts, scan.entry_tol)
     claims = (
         (f"B^t - A^t >= -entry_tol entry-wise on grid [{scan.t_min:g}, {scan.t_max:g}], "
          f"B = A + {r:g} * x1 x1^T", ok),
@@ -315,8 +308,8 @@ def check_monotonicity(A: SymMatrix, r: float, scan: ScanConfig | None = None) -
         matrix=A,
         claims=claims,
         scan=scan,
-        min_value=float(per_t_min[k]),
-        argmin_t=float(ts[k]),
+        min_value=min_value,
+        argmin_t=argmin_t,
         empirical_critexp=0.0,
     )
 
@@ -344,19 +337,25 @@ def check_perturbation(A: SymMatrix, scan: ScanConfig | None = None) -> Perturba
     if ts.size == 0:
         raise ValueError("scan window contains no grid point with t >= n-2")
     vals = grid_entry_values(spectral_decompose(C), ts)
-    per_t_min = vals.min(axis=(0, 1))
-    k = int(np.argmin(per_t_min))
-    ok = bool(per_t_min[k] >= -scan.entry_tol)
-
+    min_value, argmin_t, ok = _grid_minimum(vals, ts, scan.entry_tol)
     return PerturbationReport(
         matrix=A,
         epsilon=eps,
         verified_range=(float(ts[0]), float(ts[-1])),
         passed=ok,
         scan=scan,
-        min_value=float(per_t_min[k]),
-        argmin_t=float(ts[k]),
+        min_value=min_value,
+        argmin_t=argmin_t,
     )
+
+
+def _grid_minimum(vals: np.ndarray, ts: np.ndarray,
+                  entry_tol: float) -> tuple[float, float, bool]:
+    """Smallest entry of an (n, n, T) grid of values, the grid t where it
+    occurs, and whether it stays >= -entry_tol."""
+    per_t_min = vals.min(axis=(0, 1))
+    k = int(np.argmin(per_t_min))
+    return float(per_t_min[k]), float(ts[k]), bool(per_t_min[k] >= -entry_tol)
 
 
 def empirical_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:
@@ -397,8 +396,8 @@ class SearchSummary:
             "histogram": [{"lo": lo, "hi": hi, "count": c} for lo, hi, c in self.histogram],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 SEARCH_FAMILIES = ("gram", "tridiagonal", "mixed")
@@ -446,7 +445,6 @@ def search_critical_exponent(n: int, trials: int, seed: int,
         max_found=float(best),
         argmax=best_A,
         argmax_trial=best_trial,
-        argmax_distinct_eigenvalues=count_distinct_eigenvalues(
-            spectral_decompose(best_A).eigenvalues),
+        argmax_distinct_eigenvalues=spectral_decompose(best_A).group_starts.size,
         histogram=hist,
     )

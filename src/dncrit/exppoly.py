@@ -15,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    MERGE_TOL,
     SpectralDecomposition,
     SymMatrix,
     ZeroToNegativePowerError,
-    clamp_psd,
     spectral_decompose,
 )
 
 COEFF_ZERO_TOL = 1e-10   # relative: a coefficient below this times max|c| is
                          # ignored by sign counting (still used in evaluation)
-EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
 DEFAULT_STEP = 0.01
 DEFAULT_ENDPOINT_TOL = 1e-9
 DEFAULT_ENTRY_TOL = 1e-12
@@ -117,35 +114,23 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
                   zero_tol: float = COEFF_ZERO_TOL) -> ExpPoly:
     """Exponential polynomial of entry (i, j), 0-based.
 
-    Coefficients of eigenvalues within MERGE_TOL are merged; zero bases
-    are dropped with the singular flag set; coefficients at or below
+    Coefficients of eigenvalues in one group of ``dec.group_starts`` are
+    summed onto the group's first (clamped) eigenvalue; a zero base is
+    dropped with the singular flag set; coefficients at or below
     zero_tol * max|c| stay in the term list but are excluded from sign
     counting via sign_cut.
     """
     n = dec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    lam = clamp_psd(dec.eigenvalues)
-    raw_coeff = dec.eigenvectors[i, :] * dec.eigenvectors[j, :]
-    scale = max(1.0, float(lam[0]))
-
-    bases: list[float] = []
-    coeffs: list[float] = []
-    for k in range(lam.size):
-        if bases and bases[-1] - lam[k] <= MERGE_TOL * scale:
-            coeffs[-1] += float(raw_coeff[k])
-        else:
-            bases.append(float(lam[k]))
-            coeffs.append(float(raw_coeff[k]))
-
-    singular = False
-    if bases and bases[-1] == 0.0:
-        singular = True
-        bases.pop()
-        coeffs.pop()
-
-    cmax = max((abs(c) for c in coeffs), default=0.0)
-    return ExpPoly(bases=tuple(bases), coefficients=tuple(coeffs),
+    starts = dec.group_starts
+    bases = dec.clamped_eigenvalues[starts]
+    coeffs = np.add.reduceat(dec.eigenvectors[i] * dec.eigenvectors[j], starts)
+    singular = bool(bases[-1] == 0.0)
+    if singular:
+        bases, coeffs = bases[:-1], coeffs[:-1]
+    cmax = float(np.abs(coeffs).max(initial=0.0))
+    return ExpPoly(bases=tuple(bases.tolist()), coefficients=tuple(coeffs.tolist()),
                    singular=singular, sign_cut=zero_tol * cmax)
 
 
@@ -172,7 +157,7 @@ def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
     power on a grid is needed; t must be >= 0 when A is singular.
     """
     ts = np.asarray(ts, dtype=float)
-    lam = clamp_psd(dec.eigenvalues)
+    lam = dec.clamped_eigenvalues
     if np.any(ts < 0.0) and np.any(lam == 0.0):
         raise ZeroToNegativePowerError("negative t with a zero eigenvalue")
     powed = np.power(lam[:, None], ts[None, :])
@@ -199,23 +184,6 @@ def sign_changes(seq) -> int:
             count += 1
         prev = s
     return count
-
-
-def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:
-    """Sign alternations of f along the grid.
-
-    Values within EVAL_ZERO_BAND * sum_k |c_k| b_k^t are treated as zero so that
-    roots hit (nearly) exactly by a grid point do not double-count.
-    """
-    ts = np.asarray(ts, dtype=float)
-    vals = eval_exppoly(f, ts)
-    if not f.bases:
-        return 0
-    b = np.array(f.bases)
-    c = np.abs(np.array(f.coefficients))
-    scale = c @ np.power(b[:, None], ts[None, :])
-    signs = np.where(np.abs(vals) <= EVAL_ZERO_BAND * scale, 0.0, np.sign(vals))
-    return sign_changes(signs)
 
 
 def negative_intervals(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, ...]:

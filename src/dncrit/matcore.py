@@ -1,5 +1,5 @@
 """Symmetric-matrix foundation: parsing, DN checks, spectral decomposition,
-real matrix powers, irreducibility and primitivity.
+the eigenvalue policy, real matrix powers and irreducibility.
 
 A matrix is doubly nonnegative (DN) when it is symmetric positive
 semi-definite and entry-wise nonnegative.  Real powers A^t are taken in the
@@ -7,12 +7,15 @@ spectral sense, sum(lambda_k^t x_k x_k^T), which is the object all other
 modules analyze.
 
 Everything here is immutable and side-effect free; values can be shared
-freely across threads.
+freely across threads.  A decomposition's eigenvalue groups and clamped
+eigenvalues are filled in on first use, from its immutable arrays, so two
+threads racing on them compute the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,7 +112,10 @@ class SpectralDecomposition:
     """Eigenvalues sorted non-increasing; eigenvectors as orthonormal columns.
 
     Column signs are canonical: the first coordinate with magnitude above
-    SIGN_TOL is positive.
+    SIGN_TOL is positive.  The eigenvalue policy every module reads lives
+    here, each part computed at most once: ``group_starts`` says which
+    eigenvalues count as equal and ``clamped_eigenvalues`` which count as
+    zero.
     """
 
     eigenvalues: np.ndarray
@@ -118,6 +124,22 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def group_starts(self) -> np.ndarray:
+        """Start index of each group of coinciding eigenvalues (see
+        ``_group_starts``); its size is the distinct-eigenvalue count."""
+        starts = _group_starts(self.eigenvalues)
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
+    def clamped_eigenvalues(self) -> np.ndarray:
+        """``clamp_psd(eigenvalues)``: raises NegativeEigenvalueError on a
+        matrix that is not PSD."""
+        lam = clamp_psd(self.eigenvalues)
+        lam.setflags(write=False)
+        return lam
 
 
 def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymMatrix:
@@ -211,20 +233,29 @@ def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL) -> DnReport:
         min_eigenvalue=min_eig,
         is_invertible=min_eig > INVERT_TOL * scale,
         is_irreducible=is_irreducible(A),
-        num_distinct_eigenvalues=count_distinct_eigenvalues(lam),
+        num_distinct_eigenvalues=dec.group_starts.size,
     )
 
 
 def count_distinct_eigenvalues(eigenvalues: np.ndarray) -> int:
-    """Count eigenvalue groups after merging values closer than MERGE_TOL
-    (relative to max(1, |lam_1|))."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    scale = max(1.0, abs(float(lam[0])))
-    count = 1
-    for a, b in zip(lam, lam[1:]):
-        if a - b > MERGE_TOL * scale:
-            count += 1
-    return count
+    """Number of eigenvalue groups under ``_group_starts``, in any order."""
+    return _group_starts(np.sort(np.asarray(eigenvalues, dtype=float))[::-1]).size
+
+
+def _group_starts(lam: np.ndarray) -> np.ndarray:
+    """Start indices of the groups of a non-increasing eigenvalue array.
+
+    A value joins the current group while it lies within
+    MERGE_TOL * max(1, |lam_1|) of the group's first value.  Comparing with
+    the first value rather than the neighbour keeps a chain of close values
+    from collapsing into one group wider than the tolerance.
+    """
+    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
+    starts = [0]
+    for k in range(1, lam.size):
+        if lam[starts[-1]] - lam[k] > tol:
+            starts.append(k)
+    return np.array(starts, dtype=np.intp)
 
 
 def fractional_power(dec: SpectralDecomposition, t: float, psd_tol: float = PSD_TOL) -> SymMatrix:
@@ -279,24 +310,3 @@ def is_irreducible(A: SymMatrix) -> bool:
                 stack.append(j)
     return bool(seen.all())
 
-
-def primitivity_index(A: SymMatrix) -> int:
-    """Least k >= 1 with A^k entry-wise positive.
-
-    Requires a DN irreducible input; the result is guaranteed to be at most
-    n-1 for n >= 2 (positive diagonal plus connectivity).
-    """
-    report = check_dn(A)
-    if not report.is_dn:
-        raise NotDoublyNonnegativeError("primitivity index needs a DN matrix")
-    if not report.is_irreducible:
-        raise NotIrreducibleError("primitivity index needs an irreducible matrix")
-    positive = A.entries > 0.0
-    if positive.all():
-        return 1
-    reach = positive
-    for k in range(2, max(2, A.n)):
-        reach = reach @ positive
-        if reach.all():
-            return k
-    raise NotPrimitiveError("no power up to n-1 is entry-wise positive")

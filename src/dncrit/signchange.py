@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exppoly import COEFF_ZERO_TOL, descartes_bound, entry_exppoly
-from .matcore import (
-    MatrixFormatError,
-    SymMatrix,
-    count_distinct_eigenvalues,
-    spectral_decompose,
-    _read_square_rows,
-)
+from .matcore import MatrixFormatError, SymMatrix, spectral_decompose, _read_square_rows
 
 ZERO_COORD_TOL = 1e-8    # relative: an eigenvector coordinate at or below this
                          # times the column's largest coordinate counts as zero
@@ -62,15 +56,15 @@ def sign_change_matrix(dec, zero_tol: float = COEFF_ZERO_TOL) -> SignChangeMatri
     """Compute W from a spectral decomposition (a SymMatrix is decomposed
     on the fly).
 
-    The generic flag demands n distinct eigenvalues and no eigenvector
-    coordinate within ZERO_COORD_TOL of zero (relative to the largest
-    coordinate of that eigenvector); only then are the structural row and
-    column limits guaranteed.
+    The generic flag demands n eigenvalue groups (``dec.group_starts``) and
+    no eigenvector coordinate within ZERO_COORD_TOL of zero (relative to the
+    largest coordinate of that eigenvector); only then are the structural
+    row and column limits guaranteed.
     """
     if isinstance(dec, SymMatrix):
         dec = spectral_decompose(dec)
     n = dec.n
-    distinct = count_distinct_eigenvalues(dec.eigenvalues) == n
+    distinct = dec.group_starts.size == n
     coord_ok = True
     for k in range(n):
         col = np.abs(dec.eigenvectors[:, k])

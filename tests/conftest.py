@@ -12,8 +12,28 @@ import pytest
 
 import dncrit as dc
 from dncrit.certify import k_of_n
-from dncrit.exppoly import entry_exppoly, grid_entry_values, grid_sign_alternations
+from dncrit.exppoly import ExpPoly, entry_exppoly, eval_exppoly, grid_entry_values, sign_changes
 from dncrit.signchange import component_bound
+
+EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
+
+
+def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:
+    """Sign alternations of f along the grid: the grid-evidence oracle that
+    an entry's sign changes never exceed its Descartes bound.
+
+    Values within EVAL_ZERO_BAND * sum_k |c_k| b_k^t are treated as zero so that
+    roots hit (nearly) exactly by a grid point do not double-count.
+    """
+    ts = np.asarray(ts, dtype=float)
+    vals = eval_exppoly(f, ts)
+    if not f.bases:
+        return 0
+    b = np.array(f.bases)
+    c = np.abs(np.array(f.coefficients))
+    scale = c @ np.power(b[:, None], ts[None, :])
+    signs = np.where(np.abs(vals) <= EVAL_ZERO_BAND * scale, 0.0, np.sign(vals))
+    return sign_changes(signs)
 
 
 def corpus_specs():

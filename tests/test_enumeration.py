@@ -129,6 +129,18 @@ class TestPatterns:
         b = [p.s for p in dc.enumerate_sign_patterns(4)]
         assert a == b
 
+    def test_n5_stream_pinned(self):
+        # sha256 of the n=5 stream: each pattern's rows_text lines, then a
+        # blank line; fixes the order as well as the set
+        h = hashlib.sha256()
+        count = 0
+        for p in dc.enumerate_sign_patterns(5):
+            h.update(("\n".join(p.rows_text()) + "\n\n").encode())
+            count += 1
+        assert count == 24360
+        assert h.hexdigest() == (
+            "c51d781456d8eaf6b4e35e62a339824e58664e8275f51f6e10b966d50f1f8fd4")
+
     def test_cap(self):
         with pytest.raises(DimensionTooLargeError):
             next(dc.enumerate_sign_patterns(7))

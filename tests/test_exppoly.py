@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
-from dncrit.exppoly import (
-    ExpPoly,
-    ScanConfig,
-    grid_entry_values,
-    grid_sign_alternations,
-    sign_changes,
+from conftest import grid_sign_alternations
+from dncrit.experiments import TooManyEigenvaluesError
+from dncrit.exppoly import COEFF_ZERO_TOL, ExpPoly, ScanConfig, grid_entry_values, sign_changes
+from dncrit.matcore import (
+    MERGE_TOL,
+    ZeroToNegativePowerError,
+    clamp_psd,
+    count_distinct_eigenvalues,
 )
-from dncrit.matcore import ZeroToNegativePowerError
+from dncrit.signchange import ZERO_COORD_TOL
 
 
 def sym(a):
@@ -247,3 +249,102 @@ class TestScan:
     def test_matrix_critical_exponent(self):
         assert dc.matrix_critical_exponent(tridiag(4)) == pytest.approx(2.0, abs=1e-6)
         assert dc.matrix_critical_exponent(sym([[2, 1], [1, 2]])) == 0.0
+
+
+def _entry_exppoly_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
+    """The per-entry merge loop that entry_exppoly replaced: clamp, then merge
+    each eigenvalue into the last base while within MERGE_TOL of it."""
+    lam = clamp_psd(dec.eigenvalues)
+    raw_coeff = dec.eigenvectors[i, :] * dec.eigenvectors[j, :]
+    scale = max(1.0, float(lam[0]))
+    bases, coeffs = [], []
+    for k in range(lam.size):
+        if bases and bases[-1] - lam[k] <= MERGE_TOL * scale:
+            coeffs[-1] += float(raw_coeff[k])
+        else:
+            bases.append(float(lam[k]))
+            coeffs.append(float(raw_coeff[k]))
+    singular = bool(bases and bases[-1] == 0.0)
+    if singular:
+        bases.pop()
+        coeffs.pop()
+    cmax = max((abs(c) for c in coeffs), default=0.0)
+    return ExpPoly(bases=tuple(bases), coefficients=tuple(coeffs),
+                   singular=singular, sign_cut=zero_tol * cmax)
+
+
+def _generic_oracle(dec):
+    """The generic flag as computed before the groups moved into the
+    decomposition: neighbouring eigenvalues compared, then the coordinates."""
+    lam = dec.eigenvalues
+    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
+    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:]) if a - b > tol)
+    u = np.abs(dec.eigenvectors)
+    return distinct == dec.n and bool((u.min(axis=0) > ZERO_COORD_TOL * u.max(axis=0)).all())
+
+
+def _with_spectrum(lam, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(lam), len(lam))))
+    return sym(q @ np.diag(lam) @ q.T)
+
+
+def _policy_corpus():
+    """Seeded matrices for n = 2..8: Gram matrices of full and deficient rank,
+    tridiagonal DN, I + rank 2 (eigenvalue 1 repeated n-2 times), and spectra
+    with a chain of eigenvalues spaced a fraction of MERGE_TOL apart."""
+    for n in range(2, 9):
+        for seed in range(6):
+            rng = np.random.default_rng([n, seed])
+            yield dc.random_dn(n, n, 100 * n + seed)
+            yield dc.random_dn(n, max(1, n - 2), 200 * n + seed)
+            yield dc.random_tridiagonal_dn(n, rng)
+            v = rng.uniform(0.0, 1.0, size=(n, 2))
+            yield sym(np.eye(n) + v @ v.T)
+            lam = np.sort(rng.uniform(0.5, 3.0, size=n))[::-1]
+            lam[1:] = np.minimum(lam[1:], lam[1] - 0.7e-8 * 3.0 * np.arange(n - 1))
+            yield _with_spectrum(lam, 300 * n + seed)
+
+
+class TestEigenvaluePolicy:
+    def test_matches_per_entry_merge_oracle(self):
+        count = 0
+        for A in _policy_corpus():
+            dec = dc.spectral_decompose(A)
+            W = dc.sign_change_matrix(dec)
+            for i in range(A.n):
+                for j in range(A.n):
+                    f = dc.entry_exppoly(dec, i, j)
+                    g = _entry_exppoly_oracle(dec, i, j)
+                    assert f.bases == g.bases and f.singular == g.singular
+                    # c_k = u_ik u_jk before merging: a merged group's sum can
+                    # cancel far below its terms, and reduceat adds the terms
+                    # in another order than the loop
+                    cmax = np.abs(dec.eigenvectors[i] * dec.eigenvectors[j]).max()
+                    assert np.allclose(f.coefficients, g.coefficients,
+                                       rtol=0.0, atol=1e-15 * cmax)
+                    assert W[i, j] == dc.descartes_bound(g)
+            assert W.generic == _generic_oracle(dec)
+            count += 1
+        assert count == 7 * 6 * 5
+
+    def test_chain_counts_groups_not_links(self):
+        # gaps of 2e-8 under a tolerance of 3e-8: the chain 2, 2-2e-8, 2-4e-8
+        # spans more than the tolerance, so it is two groups, not one
+        lam = np.array([3.0, 2.0, 2.0 - 2e-8, 2.0 - 4e-8, 1.0])
+        A = _with_spectrum(lam, 7)
+        dec = dc.spectral_decompose(A)
+        assert count_distinct_eigenvalues(lam) == 4
+        assert count_distinct_eigenvalues(dec.eigenvalues) == 4
+        assert dc.check_dn(A).num_distinct_eigenvalues == 4
+        assert all(len(dc.entry_exppoly(dec, i, j).bases) == 4
+                   for i in range(5) for j in range(5))
+        assert not dc.sign_change_matrix(dec).generic
+        with pytest.raises(TooManyEigenvaluesError):
+            dc.check_three_eigenvalue_theorem(A)
+
+    def test_computed_once_and_read_only(self):
+        dec = dc.spectral_decompose(tridiag(4))
+        assert dec.group_starts is dec.group_starts
+        assert dec.clamped_eigenvalues is dec.clamped_eigenvalues
+        assert not dec.group_starts.flags.writeable
+        assert not dec.clamped_eigenvalues.flags.writeable

@@ -1,5 +1,5 @@
 """Foundation tests: parsing, the LAPACK decomposition vs a high-precision
-mpmath oracle, real powers, DN checks, irreducibility and primitivity."""
+mpmath oracle, real powers, DN checks and irreducibility."""
 
 import math
 
@@ -12,8 +12,6 @@ import dncrit as dc
 from dncrit.matcore import (
     MatrixFormatError,
     NegativeEigenvalueError,
-    NotDoublyNonnegativeError,
-    NotIrreducibleError,
     NotSymmetricError,
     ZeroToNegativePowerError,
     clamp_psd,
@@ -116,6 +114,8 @@ class TestDecomposition:
         assert count_distinct_eigenvalues(np.array([4.0, 2.0, 2.0 + 1e-12, 0.5])) == 3
         assert count_distinct_eigenvalues(np.array([1.0, 1.0, 1.0])) == 1
         assert count_distinct_eigenvalues(np.array([5.0])) == 1
+        # below lambda_1 = 1 the tolerance stays MERGE_TOL, not MERGE_TOL * lambda_1
+        assert count_distinct_eigenvalues(np.array([0.3, 0.2, 0.2 - 5e-9])) == 2
 
 
 class TestPowers:
@@ -204,30 +204,3 @@ class TestGraph:
         assert dc.is_irreducible(sym([[0, 1], [1, 0]]))
         assert not dc.is_irreducible(sym(np.diag([1.0, 2.0])))
         assert dc.is_irreducible(sym([[5.0]]))
-
-    def test_primitivity_tridiagonal(self):
-        for n in (2, 3, 4, 6):
-            T = sym(np.diag([2.0] * n) + np.diag([1.0] * (n - 1), 1)
-                    + np.diag([1.0] * (n - 1), -1))
-            assert dc.primitivity_index(T) == n - 1
-
-    def test_primitivity_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            b = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.4)
-            A_arr = b @ b.T + np.eye(n) * rng.uniform(0.5, 1.0)
-            A = sym(A_arr)
-            if not dc.is_irreducible(A):
-                continue
-            got = dc.primitivity_index(A)
-            # oracle: literal minimum k with A^k entry-wise positive
-            want = next(k for k in range(1, n + 1)
-                        if (np.linalg.matrix_power(A.entries, k) > 0).all())
-            assert got == want and got <= max(1, n - 1)
-
-    def test_primitivity_requires_dn_and_irreducible(self):
-        with pytest.raises(NotDoublyNonnegativeError):
-            dc.primitivity_index(sym([[1, 2], [2, 1]]))
-        with pytest.raises(NotIrreducibleError):
-            dc.primitivity_index(sym(np.diag([1.0, 2.0])))
