@@ -166,7 +166,7 @@ def tridiagonal_witness(n: int, seed: int, scan: ScanConfig | None = None) -> Wi
     if scan is None:
         scan = ScanConfig.for_matrix(A, t_min=0.0, t_max=crude_bound(n) + 2.0)
     dec = spectral_decompose(A)
-    report = check_dn(A)
+    report = check_dn(A, dec=dec)
     f = entry_exppoly(dec, 0, n - 1)
 
     t_mid = n - 2.5
@@ -264,7 +264,7 @@ def check_three_eigenvalue_theorem(A: SymMatrix, scan: ScanConfig | None = None)
     distinct = dec.group_starts.size
     if distinct > 3:
         raise TooManyEigenvaluesError(f"{distinct} distinct eigenvalues (> 3)")
-    report = check_dn(A)
+    report = check_dn(A, dec=dec)
     ts = scan.grid()
     ts = ts[ts >= 1.0 - 1e-12]
     min_value, argmin_t, ok = _grid_minimum(grid_entry_values(dec, ts), ts, scan.entry_tol)

@@ -196,42 +196,55 @@ def negative_intervals(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, 
     clipped endpoint.
     """
     ts = scan.grid()
-    vals = eval_exppoly(f, ts)
-    neg = vals < -scan.entry_tol
-    intervals: list[NegativeInterval] = []
-    idx = 0
-    m = len(ts)
-    while idx < m:
-        if not neg[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx + 1 < m and neg[idx + 1]:
-            idx += 1
-        stop = idx
+    return _grid_intervals(f, ts, eval_exppoly(f, ts), scan)
+
+
+def _grid_intervals(f: ExpPoly, ts: np.ndarray, vals: np.ndarray,
+                    scan: ScanConfig) -> tuple[NegativeInterval, ...]:
+    """Negative runs of f's grid values ``vals`` on ``ts``, each endpoint
+    refined by bisection unless the run touches the window boundary."""
+    neg = np.concatenate(([False], vals < -scan.entry_tol, [False]))
+    flips = np.flatnonzero(neg[1:] != neg[:-1])
+    if flips.size == 0:
+        return ()
+    b_col = np.array(f.bases)[:, None]
+    c = np.array(f.coefficients)
+    last = len(ts) - 1
+    intervals = []
+    # flips pair up: a run covers grid indices start .. stop - 1
+    for start, stop in zip(flips[0::2].tolist(), flips[1::2].tolist()):
         lo_clip = start == 0
-        hi_clip = stop == m - 1
-        lo = scan.t_min if lo_clip else _bisect_edge(f, ts[start - 1], ts[start], scan)
-        hi = scan.t_max if hi_clip else _bisect_edge(f, ts[stop + 1], ts[stop], scan)
+        hi_clip = stop - 1 == last
+        lo = scan.t_min if lo_clip else _bisect_edge(b_col, c, float(ts[start - 1]),
+                                                     float(ts[start]), scan)
+        hi = scan.t_max if hi_clip else _bisect_edge(b_col, c, float(ts[stop]),
+                                                     float(ts[stop - 1]), scan)
         intervals.append(NegativeInterval(lo=float(lo), hi=float(hi),
                                           lo_clipped=lo_clip, hi_clipped=hi_clip))
-        idx += 1
     return tuple(intervals)
 
 
-def _bisect_edge(f: ExpPoly, t_out: float, t_in: float, scan: ScanConfig) -> float:
+def _bisect_edge(b_col: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
+                 scan: ScanConfig) -> float:
     """Shrink the bracket between t_out (f >= -entry_tol) and t_in
-    (f < -entry_tol) onto the sign crossing, to within endpoint_tol.
+    (f < -entry_tol) onto the sign crossing of f = c @ b_col^t, to within
+    endpoint_tol or until the midpoint no longer splits the bracket.
 
     Runs are detected at the -entry_tol level so fp noise cannot seed them,
     but endpoints refine against 0: that is what makes measured interval
     ends land on the actual roots (e.g. integer endpoints for tridiagonal
-    witnesses) instead of sitting one noise-width inside them.
+    witnesses) instead of sitting one noise-width inside them.  Each step
+    evaluates f exactly as ``eval_exppoly`` does at a scalar t: the (K, 1)
+    bases against a (1, 1) t.
     """
     lo, hi = t_out, t_in
+    t = np.empty((1, 1))
     while abs(hi - lo) > scan.endpoint_tol:
         mid = 0.5 * (lo + hi)
-        if eval_exppoly(f, mid) < 0.0:
+        if mid == lo or mid == hi:
+            break
+        t[0, 0] = mid
+        if (c @ np.power(b_col, t))[0] < 0.0:
             hi = mid
         else:
             lo = mid
@@ -245,13 +258,26 @@ def entry_critical_exponent(f: ExpPoly, scan: ScanConfig) -> float:
 
 
 def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:
-    """Empirical critical exponent: max of the entry exponents over i <= j."""
+    """Empirical critical exponent: max of the entry exponents over i <= j.
+
+    Every entry of one decomposition has the same bases, so the (K, T) power
+    table of the scan grid is built once and each entry's grid values are
+    its coefficients times that table, as ``eval_exppoly`` computes them.
+    """
     if scan is None:
         scan = ScanConfig.for_matrix(A)
     dec = spectral_decompose(A)
+    ts = scan.grid()
+    table = None
     worst = 0.0
     for i in range(A.n):
         for j in range(i, A.n):
             f = entry_exppoly(dec, i, j)
-            worst = max(worst, entry_critical_exponent(f, scan))
+            if table is None:
+                if f.singular and ts[0] < 0.0:
+                    raise ZeroToNegativePowerError(
+                        "entry has a dropped zero base; t < 0 undefined")
+                table = np.power(np.array(f.bases)[:, None], ts[None, :])
+            found = _grid_intervals(f, ts, np.array(f.coefficients) @ table, scan)
+            worst = max(worst, max((iv.hi for iv in found), default=0.0))
     return worst

@@ -215,10 +215,16 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecompo
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
 
 
-def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL) -> DnReport:
+def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL,
+             dec: SpectralDecomposition | None = None) -> DnReport:
     """Report nonnegativity, positive semi-definiteness, invertibility,
-    irreducibility, and the distinct-eigenvalue count."""
-    dec = spectral_decompose(A)
+    irreducibility, and the distinct-eigenvalue count.
+
+    ``dec`` is A's decomposition when the caller already holds one;
+    without it A is decomposed here.
+    """
+    if dec is None:
+        dec = spectral_decompose(A)
     lam = dec.eigenvalues
     scale = max(1.0, float(lam[0]))
     min_entry = float(A.entries.min())

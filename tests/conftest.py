@@ -12,7 +12,15 @@ import pytest
 
 import dncrit as dc
 from dncrit.certify import k_of_n
-from dncrit.exppoly import ExpPoly, entry_exppoly, eval_exppoly, grid_entry_values, sign_changes
+from dncrit.exppoly import (
+    ExpPoly,
+    NegativeInterval,
+    ScanConfig,
+    entry_exppoly,
+    eval_exppoly,
+    grid_entry_values,
+    sign_changes,
+)
 from dncrit.signchange import component_bound
 
 EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
@@ -34,6 +42,77 @@ def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:
     scale = c @ np.power(b[:, None], ts[None, :])
     signs = np.where(np.abs(vals) <= EVAL_ZERO_BAND * scale, 0.0, np.sign(vals))
     return sign_changes(signs)
+
+
+def negative_intervals_oracle(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, ...]:
+    """The scan that ``negative_intervals`` replaced: a walk over every grid
+    point for the runs, and a bisection that evaluates f one scalar t at a
+    time through ``eval_exppoly``.  The library must reproduce its floats
+    exactly.  Its bisection has no float-spacing stop, so it is only run
+    with endpoint tolerances far above the spacing."""
+    ts = scan.grid()
+    vals = eval_exppoly(f, ts)
+    neg = vals < -scan.entry_tol
+    intervals = []
+    idx = 0
+    m = len(ts)
+    while idx < m:
+        if not neg[idx]:
+            idx += 1
+            continue
+        start = idx
+        while idx + 1 < m and neg[idx + 1]:
+            idx += 1
+        stop = idx
+        lo_clip = start == 0
+        hi_clip = stop == m - 1
+        lo = scan.t_min if lo_clip else _bisect_edge_oracle(f, ts[start - 1], ts[start], scan)
+        hi = scan.t_max if hi_clip else _bisect_edge_oracle(f, ts[stop + 1], ts[stop], scan)
+        intervals.append(NegativeInterval(lo=float(lo), hi=float(hi),
+                                          lo_clipped=lo_clip, hi_clipped=hi_clip))
+        idx += 1
+    return tuple(intervals)
+
+
+def _bisect_edge_oracle(f: ExpPoly, t_out, t_in, scan: ScanConfig) -> float:
+    lo, hi = t_out, t_in
+    while abs(hi - lo) > scan.endpoint_tol:
+        mid = 0.5 * (lo + hi)
+        if eval_exppoly(f, mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def matrix_critical_exponent_oracle(A: dc.SymMatrix, scan: ScanConfig | None = None) -> float:
+    """Max over i <= j of the oracle scan's largest upper endpoint, one
+    ExpPoly evaluation per entry."""
+    if scan is None:
+        scan = ScanConfig.for_matrix(A)
+    dec = dc.spectral_decompose(A)
+    worst = 0.0
+    for i in range(A.n):
+        for j in range(i, A.n):
+            found = negative_intervals_oracle(entry_exppoly(dec, i, j), scan)
+            worst = max(worst, max((iv.hi for iv in found), default=0.0))
+    return worst
+
+
+def scan_corpus():
+    """(label, matrix) pairs for the scan oracle tests, n = 2..8: Gram
+    matrices of every rank 1..n, irreducible tridiagonal matrices and
+    I + a rank-2 Gram matrix (a repeated eigenvalue 1), seeded."""
+    out = []
+    for n in range(2, 9):
+        rng = np.random.default_rng([n, 10])
+        for rank in range(1, n + 1):
+            out.append((f"gram n={n} rank={rank}", dc.random_dn(n, rank, int(rng.integers(2**31)))))
+        for k in range(3):
+            out.append((f"tridiagonal n={n} #{k}", dc.random_tridiagonal_dn(n, rng)))
+            v = rng.uniform(0.0, 1.0, size=(n, 2))
+            out.append((f"I + rank 2 n={n} #{k}", dc.SymMatrix.from_array(np.eye(n) + v @ v.T)))
+    return out
 
 
 def corpus_specs():

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests, run in-process via main(argv)."""
 
+import hashlib
 import itertools
 import json
 
@@ -305,6 +306,19 @@ class TestSearch:
     def test_bad_family(self, capsys):
         assert main(["search", "--n", "3", "--trials", "1", "--seed", "0",
                      "--family", "dense"]) == 2
+
+    # sha256 of the --out JSON, computed before the scan moved to array run
+    # detection and one power table per matrix; the scan must not move a bit
+    @pytest.mark.parametrize("n, digest", [
+        (5, "acbcb0470618e1e5752129a9855942486204343293dad378303b77df075ceef9"),
+        (6, "a2ffe2c58cdf4df53d77d48f602152492941e1072bd2225db0e75877f11d9681"),
+    ], ids=["n5", "n6"])
+    def test_json_pinned(self, n, digest, tmp_path, capsys):
+        out = tmp_path / "search.json"
+        assert main(["search", "--n", str(n), "--trials", "100", "--seed", "0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTopLevel:

@@ -158,6 +158,59 @@ class TestThreeEigenvalue:
             dc.check_three_eigenvalue_theorem(tridiag(4))
 
 
+class TestOneDecomposition:
+    """check_dn reads the caller's decomposition instead of making its own."""
+
+    @staticmethod
+    def _count_decompositions(monkeypatch):
+        calls = []
+        real = dc.matcore.spectral_decompose
+
+        def counting(A):
+            calls.append(A)
+            return real(A)
+
+        for module in (dc.matcore, dc.exppoly, dc.experiments):
+            monkeypatch.setattr(module, "spectral_decompose", counting)
+        return calls
+
+    @staticmethod
+    def _check_dn_decomposing_again(A, psd_tol=dc.matcore.PSD_TOL, dec=None):
+        return dc.matcore.check_dn(A, psd_tol)
+
+    def test_witness_decomposes_once(self, monkeypatch):
+        cases = [(n, seed) for n in range(3, 9) for seed in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(dc.experiments, "check_dn", self._check_dn_decomposing_again)
+            want = [dc.tridiagonal_witness(n, seed).to_json_dict() for n, seed in cases]
+        calls = self._count_decompositions(monkeypatch)
+        for (n, seed), expected in zip(cases, want):
+            calls.clear()
+            assert dc.tridiagonal_witness(n, seed).to_json_dict() == expected
+            assert len(calls) == 1
+
+    def test_three_eigenvalue_check_adds_no_decomposition(self, monkeypatch):
+        # once for the check itself, once inside matrix_critical_exponent;
+        # check_dn adds none
+        cases = [dc.three_eigenvalue_matrix("cycle4"), dc.three_eigenvalue_matrix("cycle5"),
+                 random_three_eigenvalue(6, 2)]
+        with monkeypatch.context() as m:
+            m.setattr(dc.experiments, "check_dn", self._check_dn_decomposing_again)
+            want = [dc.check_three_eigenvalue_theorem(A).to_json_dict() for A in cases]
+        calls = self._count_decompositions(monkeypatch)
+        for A, expected in zip(cases, want):
+            calls.clear()
+            assert dc.check_three_eigenvalue_theorem(A).to_json_dict() == expected
+            assert len(calls) <= 2
+
+    def test_report_same_with_and_without_dec(self):
+        for seed in range(10):
+            for A in (dc.random_dn(5, seed % 5 + 1, seed),
+                      random_tridiagonal_dn(6, np.random.default_rng(seed)),
+                      sym([[1.0, -0.5], [-0.5, 1.0]])):
+                assert dc.check_dn(A, dec=dc.spectral_decompose(A)) == dc.check_dn(A)
+
+
 class TestMonotonicity:
     def test_hand_2x2(self):
         # A = [[2,1],[1,2]]: x1 = (1,1)/sqrt(2), so r = 2 gives B = A + ones

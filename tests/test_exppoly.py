@@ -1,14 +1,28 @@
 """Entry exponential polynomials: construction, evaluation, sign-change
 bounds, and negativity-interval scans."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
-from conftest import grid_sign_alternations
+from conftest import (
+    grid_sign_alternations,
+    matrix_critical_exponent_oracle,
+    negative_intervals_oracle,
+    scan_corpus,
+)
 from dncrit.experiments import TooManyEigenvaluesError
-from dncrit.exppoly import COEFF_ZERO_TOL, ExpPoly, ScanConfig, grid_entry_values, sign_changes
+from dncrit.exppoly import (
+    COEFF_ZERO_TOL,
+    ExpPoly,
+    NegativeInterval,
+    ScanConfig,
+    grid_entry_values,
+    sign_changes,
+)
 from dncrit.matcore import (
     MERGE_TOL,
     ZeroToNegativePowerError,
@@ -250,6 +264,28 @@ class TestScan:
         assert dc.matrix_critical_exponent(tridiag(4)) == pytest.approx(2.0, abs=1e-6)
         assert dc.matrix_critical_exponent(sym([[2, 1], [1, 2]])) == 0.0
 
+    def test_bisection_stops_below_float_spacing(self):
+        # The float spacing near the crossing at t ~ 0.288 is ~5.6e-17, so a
+        # bracket can never shrink to 1e-18; the scan must still return, at
+        # a bracket of two neighbouring floats.
+        f = dc.entry_exppoly(dc.spectral_decompose(dc.random_dn(5, 5, 0)), 0, 4)
+        fine = ScanConfig(0.0, 8.0, 0.01, endpoint_tol=1e-18, entry_tol=1e-12)
+        signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.setitimer(signal.ITIMER_REAL, 20.0)
+        try:
+            found = dc.negative_intervals(f, fine)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+        coarse = dc.negative_intervals(f, ScanConfig(0.0, 8.0, 0.01, entry_tol=1e-12))
+        assert len(found) == len(coarse) == 1
+        assert found[0].hi == pytest.approx(coarse[0].hi, abs=1e-9)
+        hi = found[0].hi
+        assert f(hi) < 0.0 <= f(np.nextafter(hi, 1.0)) or f(hi) >= 0.0 > f(np.nextafter(hi, 0.0))
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("negative_intervals did not return")
+
 
 def _entry_exppoly_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
     """The per-entry merge loop that entry_exppoly replaced: clamp, then merge
@@ -348,3 +384,111 @@ class TestEigenvaluePolicy:
         assert dec.clamped_eigenvalues is dec.clamped_eigenvalues
         assert not dec.group_starts.flags.writeable
         assert not dec.clamped_eigenvalues.flags.writeable
+
+
+class TestScanOracle:
+    """negative_intervals and matrix_critical_exponent give exactly the
+    floats of the per-grid-point scan in conftest."""
+
+    def test_entry_intervals_match_oracle(self):
+        for label, A in scan_corpus():
+            dec = dc.spectral_decompose(A)
+            scans = (ScanConfig.for_matrix(A, t_max=dc.crude_bound(A.n) + 2.0),
+                     ScanConfig.for_matrix(A, t_min=0.73, t_max=3.3, step=0.05))
+            for scan in scans:
+                for i in range(A.n):
+                    for j in range(i, A.n):
+                        f = dc.entry_exppoly(dec, i, j)
+                        assert dc.negative_intervals(f, scan) == \
+                            negative_intervals_oracle(f, scan), (label, i, j, scan)
+
+    def test_matrix_exponents_match_oracle(self):
+        for label, A in scan_corpus():
+            assert dc.matrix_critical_exponent(A) == matrix_critical_exponent_oracle(A), label
+            scan = ScanConfig.for_matrix(A, t_max=dc.crude_bound(A.n) + 2.0)
+            assert dc.empirical_critical_exponent(A) == \
+                matrix_critical_exponent_oracle(A, scan), label
+
+    def test_corpus_has_negative_and_clipped_runs(self):
+        # the equality tests above are only worth something if the corpus
+        # exercises refined and clipped endpoints
+        found = []
+        for _, A in scan_corpus():
+            dec = dc.spectral_decompose(A)
+            scan = ScanConfig.for_matrix(A, t_min=0.73, t_max=3.3, step=0.05)
+            for i in range(A.n):
+                for j in range(i + 1, A.n):
+                    found.extend(dc.negative_intervals(dc.entry_exppoly(dec, i, j), scan))
+        assert sum(not iv.lo_clipped and not iv.hi_clipped for iv in found) >= 10
+        assert sum(iv.lo_clipped for iv in found) >= 10
+        assert sum(iv.hi_clipped for iv in found) >= 10
+
+    def test_witness_reports_match_oracle(self, monkeypatch):
+        reports = [dc.tridiagonal_witness(n, seed) for n in range(3, 9) for seed in range(4)]
+        cases = [dc.three_eigenvalue_matrix("cycle4"), dc.three_eigenvalue_matrix("cycle5"),
+                 dc.experiments.random_three_eigenvalue(6, 1)]
+        checks = [dc.check_three_eigenvalue_theorem(A) for A in cases]
+        monkeypatch.setattr(dc.experiments, "negative_intervals", negative_intervals_oracle)
+        monkeypatch.setattr(dc.experiments, "matrix_critical_exponent",
+                            matrix_critical_exponent_oracle)
+        want = [dc.tridiagonal_witness(n, seed) for n in range(3, 9) for seed in range(4)]
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in want]
+        assert all(r.negative_window is not None for r in reports)
+        want = [dc.check_three_eigenvalue_theorem(A) for A in cases]
+        assert [r.to_json_dict() for r in checks] == [r.to_json_dict() for r in want]
+
+    @pytest.mark.parametrize("t", [0.0, 1.5, 2.0, 3.25])
+    def test_single_point_grid(self, t):
+        A = tridiag(4)
+        scan = ScanConfig(t_min=t, t_max=t, entry_tol=1e-9 * A.max_abs())
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 3)
+        assert dc.negative_intervals(f, scan) == negative_intervals_oracle(f, scan)
+        assert dc.matrix_critical_exponent(A, scan) == matrix_critical_exponent_oracle(A, scan)
+        if t == 1.5:
+            assert dc.negative_intervals(f, scan) == (NegativeInterval(1.5, 1.5, True, True),)
+
+    @pytest.mark.parametrize("window", [(1.5, 3.0), (0.5, 1.5), (1.2, 1.8), (1.0, 2.0)])
+    def test_window_edge_inside_a_run(self, window):
+        A = tridiag(4)
+        scan = ScanConfig(t_min=window[0], t_max=window[1], entry_tol=1e-9 * A.max_abs())
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 3)
+        found = dc.negative_intervals(f, scan)
+        assert found == negative_intervals_oracle(f, scan)
+        assert len(found) == 1
+        assert dc.matrix_critical_exponent(A, scan) == matrix_critical_exponent_oracle(A, scan)
+
+    def test_never_negative_entries(self):
+        A = tridiag(5)
+        dec = dc.spectral_decompose(A)
+        scan = ScanConfig.for_matrix(A, t_max=12.0)
+        for i in range(5):
+            f = dc.entry_exppoly(dec, i, i)
+            assert dc.negative_intervals(f, scan) == negative_intervals_oracle(f, scan) == ()
+        assert dc.negative_intervals(ExpPoly((), ()), scan) == ()
+        zero = sym(np.zeros((3, 3)))
+        f = dc.entry_exppoly(dc.spectral_decompose(zero), 0, 1)
+        assert f.bases == () and f.singular
+        assert dc.negative_intervals(f, scan) == negative_intervals_oracle(f, scan) == ()
+        assert dc.matrix_critical_exponent(zero) == matrix_critical_exponent_oracle(zero) == 0.0
+
+    def test_negative_window_start(self):
+        A = dc.random_dn(4, 4, 3)
+        scan = ScanConfig.for_matrix(A, t_min=-1.5, t_max=4.0)
+        dec = dc.spectral_decompose(A)
+        for i in range(4):
+            for j in range(i, 4):
+                f = dc.entry_exppoly(dec, i, j)
+                assert dc.negative_intervals(f, scan) == negative_intervals_oracle(f, scan)
+        assert dc.matrix_critical_exponent(A, scan) == matrix_critical_exponent_oracle(A, scan)
+
+    def test_singular_matrix_before_zero_raises(self):
+        A = dc.random_dn(5, 3, 0)
+        scan = ScanConfig.for_matrix(A, t_min=-0.5, t_max=4.0)
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 4)
+        assert f.singular
+        with pytest.raises(ZeroToNegativePowerError):
+            dc.negative_intervals(f, scan)
+        with pytest.raises(ZeroToNegativePowerError):
+            dc.matrix_critical_exponent(A, scan)
+        with pytest.raises(ZeroToNegativePowerError):
+            dc.matrix_critical_exponent(sym(np.zeros((2, 2))), scan)
