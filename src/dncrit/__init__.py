@@ -18,7 +18,6 @@ from .matcore import (
     format_matrix,
     check_dn,
     spectral_decompose,
-    count_distinct_eigenvalues,
     fractional_power,
     matrix_power_t,
     is_irreducible,
@@ -79,8 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SymMatrix", "DnReport", "SpectralDecomposition",
     "parse_matrix", "format_matrix", "check_dn", "spectral_decompose",
-    "count_distinct_eigenvalues", "fractional_power", "matrix_power_t",
-    "is_irreducible",
+    "fractional_power", "matrix_power_t", "is_irreducible",
     "ExpPoly", "ScanConfig", "NegativeInterval",
     "entry_exppoly", "eval_exppoly", "descartes_bound", "negative_intervals",
     "entry_critical_exponent", "matrix_critical_exponent",

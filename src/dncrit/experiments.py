@@ -27,7 +27,7 @@ import numpy as np
 from .certify import crude_bound
 from .exppoly import (
     ScanConfig,
-    entry_critical_exponent,
+    _matrix_critical_exponent,
     entry_exppoly,
     eval_exppoly,
     grid_entry_values,
@@ -278,7 +278,7 @@ def check_three_eigenvalue_theorem(A: SymMatrix, scan: ScanConfig | None = None)
         scan=scan,
         min_value=min_value,
         argmin_t=argmin_t,
-        empirical_critexp=matrix_critical_exponent(A, scan),
+        empirical_critexp=_matrix_critical_exponent(dec, scan),
     )
 
 

@@ -112,26 +112,29 @@ class NegativeInterval:
 
 def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
                   zero_tol: float = COEFF_ZERO_TOL) -> ExpPoly:
-    """Exponential polynomial of entry (i, j), 0-based.
-
-    Coefficients of eigenvalues in one group of ``dec.group_starts`` are
-    summed onto the group's first (clamped) eigenvalue; a zero base is
-    dropped with the singular flag set; coefficients at or below
-    zero_tol * max|c| stay in the term list but are excluded from sign
-    counting via sign_cut.
-    """
+    """Exponential polynomial of entry (i, j), 0-based, with the terms of
+    ``_entry_terms``; coefficients at or below zero_tol * max|c| stay in the
+    term list but are excluded from sign counting via sign_cut."""
     n = dec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    starts = dec.group_starts
-    bases = dec.clamped_eigenvalues[starts]
-    coeffs = np.add.reduceat(dec.eigenvectors[i] * dec.eigenvectors[j], starts)
-    singular = bool(bases[-1] == 0.0)
-    if singular:
-        bases, coeffs = bases[:-1], coeffs[:-1]
+    bases, coeffs, singular = _entry_terms(dec, i, j)
     cmax = float(np.abs(coeffs).max(initial=0.0))
     return ExpPoly(bases=tuple(bases.tolist()), coefficients=tuple(coeffs.tolist()),
                    singular=singular, sign_cut=zero_tol * cmax)
+
+
+def _entry_terms(dec: SpectralDecomposition, i, j) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Bases, coefficients (one row per entry when i, j are index arrays)
+    and singular flag: the coefficients of a group of ``dec.group_starts``
+    sum onto its first clamped eigenvalue, and a zero base is dropped."""
+    starts = dec.group_starts
+    bases = dec.clamped_eigenvalues[starts]
+    coeffs = np.add.reduceat(dec.eigenvectors[i] * dec.eigenvectors[j], starts, axis=-1)
+    singular = bool(bases[-1] == 0.0)
+    if singular:
+        bases, coeffs = bases[:-1], coeffs[..., :-1]
+    return bases, coeffs, singular
 
 
 def eval_exppoly(f: ExpPoly, t):
@@ -196,14 +199,7 @@ def negative_intervals(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, 
     clipped endpoint.
     """
     ts = scan.grid()
-    return _grid_intervals(f, ts, eval_exppoly(f, ts), scan)
-
-
-def _grid_intervals(f: ExpPoly, ts: np.ndarray, vals: np.ndarray,
-                    scan: ScanConfig) -> tuple[NegativeInterval, ...]:
-    """Negative runs of f's grid values ``vals`` on ``ts``, each endpoint
-    refined by bisection unless the run touches the window boundary."""
-    neg = np.concatenate(([False], vals < -scan.entry_tol, [False]))
+    neg = np.concatenate(([False], eval_exppoly(f, ts) < -scan.entry_tol, [False]))
     flips = np.flatnonzero(neg[1:] != neg[:-1])
     if flips.size == 0:
         return ()
@@ -258,26 +254,33 @@ def entry_critical_exponent(f: ExpPoly, scan: ScanConfig) -> float:
 
 
 def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:
-    """Empirical critical exponent: max of the entry exponents over i <= j.
-
-    Every entry of one decomposition has the same bases, so the (K, T) power
-    table of the scan grid is built once and each entry's grid values are
-    its coefficients times that table, as ``eval_exppoly`` computes them.
-    """
+    """Empirical critical exponent: max of the entry exponents over i <= j."""
     if scan is None:
         scan = ScanConfig.for_matrix(A)
-    dec = spectral_decompose(A)
+    return _matrix_critical_exponent(spectral_decompose(A), scan)
+
+
+def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
+    """``matrix_critical_exponent`` on a decomposition the caller holds.
+
+    The entries i <= j share one (K, T) power table of the grid, so their
+    grid values are one stacked product, as ``eval_exppoly`` computes them
+    entry by entry.  Only the last grid column with a negative value
+    matters: upper ends of runs that stop earlier lie below it, so just the
+    entries negative in that column are refined, and a run reaching the
+    last grid point ends at t_max.
+    """
     ts = scan.grid()
-    table = None
-    worst = 0.0
-    for i in range(A.n):
-        for j in range(i, A.n):
-            f = entry_exppoly(dec, i, j)
-            if table is None:
-                if f.singular and ts[0] < 0.0:
-                    raise ZeroToNegativePowerError(
-                        "entry has a dropped zero base; t < 0 undefined")
-                table = np.power(np.array(f.bases)[:, None], ts[None, :])
-            found = _grid_intervals(f, ts, np.array(f.coefficients) @ table, scan)
-            worst = max(worst, max((iv.hi for iv in found), default=0.0))
-    return worst
+    bases, coeffs, singular = _entry_terms(dec, *np.triu_indices(dec.n))
+    if singular and ts[0] < 0.0:
+        raise ZeroToNegativePowerError("entry has a dropped zero base; t < 0 undefined")
+    table = np.power(bases[:, None], ts[None, :])
+    neg = (coeffs[:, None, :] @ table)[:, 0] < -scan.entry_tol
+    cols = np.flatnonzero(neg.any(axis=0))
+    if cols.size == 0:
+        return 0.0
+    last = int(cols[-1])
+    if last == ts.size - 1:
+        return max(0.0, float(scan.t_max))
+    return max(0.0, *(_bisect_edge(bases[:, None], c, float(ts[last + 1]), float(ts[last]),
+                                   scan) for c in coeffs[neg[:, last]]))

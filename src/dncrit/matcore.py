@@ -243,11 +243,6 @@ def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL,
     )
 
 
-def count_distinct_eigenvalues(eigenvalues: np.ndarray) -> int:
-    """Number of eigenvalue groups under ``_group_starts``, in any order."""
-    return _group_starts(np.sort(np.asarray(eigenvalues, dtype=float))[::-1]).size
-
-
 def _group_starts(lam: np.ndarray) -> np.ndarray:
     """Start indices of the groups of a non-increasing eigenvalue array.
 

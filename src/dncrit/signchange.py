@@ -7,8 +7,10 @@ the entry can turn negative as t grows.
 
 Structural facts used downstream: the diagonal is zero; each row and column
 holds at most one value as large as n-1 and nothing larger; off-diagonal
-entries are otherwise at most n-2.  An entry value w allows at most
-floor((w-1)/2) negative intervals on t > 0 for w > 0, and none for w = 0.
+entries are otherwise at most n-2.  An off-diagonal entry vanishes at t = 0
+and is nonnegative at every integer t, so each negative interval past t = 1
+costs two more roots: w allows at most floor((w-1)/2) of them (none for
+w = 0), and one more root buys a dip in (0, 1), so w = 2 allows one there.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ def sign_change_matrix(dec, zero_tol: float = COEFF_ZERO_TOL) -> SignChangeMatri
 
 
 def component_bound(w: int) -> int:
-    """Most negative intervals an entry with w sign changes can have on t > 0:
-    floor((w - 1) / 2) for w > 0, else 0."""
+    """Most negative intervals an off-diagonal entry with w sign changes can
+    have past t = 1: floor((w - 1) / 2) for w > 0, else 0.  A dip in (0, 1)
+    is not counted: w = 2 allows one there."""
     if w <= 0:
         return 0
     return (w - 1) // 2

@@ -90,10 +90,14 @@ def matrix_critical_exponent_oracle(A: dc.SymMatrix, scan: ScanConfig | None = N
     ExpPoly evaluation per entry."""
     if scan is None:
         scan = ScanConfig.for_matrix(A)
-    dec = dc.spectral_decompose(A)
+    return dec_critical_exponent_oracle(dc.spectral_decompose(A), scan)
+
+
+def dec_critical_exponent_oracle(dec: dc.SpectralDecomposition, scan: ScanConfig) -> float:
+    """``matrix_critical_exponent_oracle`` on a decomposition the caller holds."""
     worst = 0.0
-    for i in range(A.n):
-        for j in range(i, A.n):
+    for i in range(dec.n):
+        for j in range(i, dec.n):
             found = negative_intervals_oracle(entry_exppoly(dec, i, j), scan)
             worst = max(worst, max((iv.hi for iv in found), default=0.0))
     return worst

@@ -116,12 +116,11 @@ class TestThreeEigenvalue:
         assert eigs == pytest.approx([4.0, 2.0, 2.0, 0.0], abs=1e-12)
 
     def test_cycle5_spectrum(self):
-        A = dc.three_eigenvalue_matrix("cycle5")
-        eigs = dc.spectral_decompose(A).eigenvalues
+        dec = dc.spectral_decompose(dc.three_eigenvalue_matrix("cycle5"))
         golden = 2.0 + 2.0 * np.cos(2.0 * np.pi / 5.0)
         other = 2.0 + 2.0 * np.cos(4.0 * np.pi / 5.0)
-        assert eigs == pytest.approx([4.0, golden, golden, other, other], abs=1e-12)
-        assert dc.count_distinct_eigenvalues(eigs) == 3
+        assert dec.eigenvalues == pytest.approx([4.0, golden, golden, other, other], abs=1e-12)
+        assert dec.group_starts.size == 3
 
     def test_custom_two_distinct(self):
         # ones(3) + I has eigenvalues {4, 1}
@@ -143,7 +142,7 @@ class TestThreeEigenvalue:
         for seed in range(20):
             A = random_three_eigenvalue(5, seed)
             dec = dc.spectral_decompose(A)
-            assert dc.count_distinct_eigenvalues(dec.eigenvalues) <= 3
+            assert dec.group_starts.size <= 3
             assert dc.check_dn(A).is_dn
 
     def test_theorem_on_cycles(self):
@@ -159,7 +158,8 @@ class TestThreeEigenvalue:
 
 
 class TestOneDecomposition:
-    """check_dn reads the caller's decomposition instead of making its own."""
+    """check_dn and the theorem check's exponent scan read the caller's
+    decomposition instead of making their own."""
 
     @staticmethod
     def _count_decompositions(monkeypatch):
@@ -190,8 +190,7 @@ class TestOneDecomposition:
             assert len(calls) == 1
 
     def test_three_eigenvalue_check_adds_no_decomposition(self, monkeypatch):
-        # once for the check itself, once inside matrix_critical_exponent;
-        # check_dn adds none
+        # the check decomposes once; check_dn and the exponent scan add none
         cases = [dc.three_eigenvalue_matrix("cycle4"), dc.three_eigenvalue_matrix("cycle5"),
                  random_three_eigenvalue(6, 2)]
         with monkeypatch.context() as m:
@@ -200,8 +199,10 @@ class TestOneDecomposition:
         calls = self._count_decompositions(monkeypatch)
         for A, expected in zip(cases, want):
             calls.clear()
-            assert dc.check_three_eigenvalue_theorem(A).to_json_dict() == expected
-            assert len(calls) <= 2
+            rep = dc.check_three_eigenvalue_theorem(A)
+            assert len(calls) == 1
+            assert rep.to_json_dict() == expected
+            assert rep.empirical_critexp == dc.matrix_critical_exponent(A, rep.scan)
 
     def test_report_same_with_and_without_dec(self):
         for seed in range(10):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
 from conftest import (
+    dec_critical_exponent_oracle,
     grid_sign_alternations,
     matrix_critical_exponent_oracle,
     negative_intervals_oracle,
@@ -26,8 +27,8 @@ from dncrit.exppoly import (
 from dncrit.matcore import (
     MERGE_TOL,
     ZeroToNegativePowerError,
+    _group_starts,
     clamp_psd,
-    count_distinct_eigenvalues,
 )
 from dncrit.signchange import ZERO_COORD_TOL
 
@@ -369,8 +370,8 @@ class TestEigenvaluePolicy:
         lam = np.array([3.0, 2.0, 2.0 - 2e-8, 2.0 - 4e-8, 1.0])
         A = _with_spectrum(lam, 7)
         dec = dc.spectral_decompose(A)
-        assert count_distinct_eigenvalues(lam) == 4
-        assert count_distinct_eigenvalues(dec.eigenvalues) == 4
+        assert _group_starts(lam).size == 4
+        assert dec.group_starts.size == 4
         assert dc.check_dn(A).num_distinct_eigenvalues == 4
         assert all(len(dc.entry_exppoly(dec, i, j).bases) == 4
                    for i in range(5) for j in range(5))
@@ -429,8 +430,8 @@ class TestScanOracle:
                  dc.experiments.random_three_eigenvalue(6, 1)]
         checks = [dc.check_three_eigenvalue_theorem(A) for A in cases]
         monkeypatch.setattr(dc.experiments, "negative_intervals", negative_intervals_oracle)
-        monkeypatch.setattr(dc.experiments, "matrix_critical_exponent",
-                            matrix_critical_exponent_oracle)
+        monkeypatch.setattr(dc.experiments, "_matrix_critical_exponent",
+                            dec_critical_exponent_oracle)
         want = [dc.tridiagonal_witness(n, seed) for n in range(3, 9) for seed in range(4)]
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in want]
         assert all(r.negative_window is not None for r in reports)
@@ -480,6 +481,44 @@ class TestScanOracle:
                 f = dc.entry_exppoly(dec, i, j)
                 assert dc.negative_intervals(f, scan) == negative_intervals_oracle(f, scan)
         assert dc.matrix_critical_exponent(A, scan) == matrix_critical_exponent_oracle(A, scan)
+
+    @staticmethod
+    def _entry_max(A, scan):
+        dec = dc.spectral_decompose(A)
+        return max(dc.entry_critical_exponent(dc.entry_exppoly(dec, i, j), scan)
+                   for i in range(A.n) for j in range(i, A.n))
+
+    def test_last_exit_tie(self):
+        # two diagonal blocks of one tridiagonal matrix: entries (0, 3) and
+        # (4, 7) are negative at the same last grid step, and both get refined
+        A = sym(np.kron(np.eye(2), dc.random_tridiagonal_dn(4, np.random.default_rng(3)).entries))
+        scan = ScanConfig.for_matrix(A, t_max=dc.crude_bound(A.n) + 2.0)
+        vals = grid_entry_values(dc.spectral_decompose(A), scan.grid())[np.triu_indices(8)]
+        neg = vals < -scan.entry_tol
+        last = np.flatnonzero(neg.any(axis=0))[-1]
+        assert last < scan.grid().size - 1
+        assert np.flatnonzero(neg[:, last]).tolist() == [3, 29]
+        got = dc.matrix_critical_exponent(A, scan)
+        assert got == matrix_critical_exponent_oracle(A, scan) == self._entry_max(A, scan)
+        assert 1.0 < got < 2.0
+
+    def test_last_exit_clipped(self):
+        # the window ends inside the (1, 2) dip of entry (0, 3)
+        A = tridiag(4)
+        scan = ScanConfig.for_matrix(A, t_max=1.5)
+        got = dc.matrix_critical_exponent(A, scan)
+        assert got == matrix_critical_exponent_oracle(A, scan) == self._entry_max(A, scan) == 1.5
+
+    @pytest.mark.parametrize("n, want", [(3, 1.0), (4, 1.3)])
+    def test_last_exit_off_grid_t_max(self, n, want):
+        # grid 0, 0.07, ..., 1.26 stops short of t_max = 1.3: a run through
+        # the last grid point ends at t_max, an earlier one is refined
+        A = tridiag(n)
+        scan = ScanConfig.for_matrix(A, t_max=1.3, step=0.07)
+        assert scan.grid()[-1] < scan.t_max
+        got = dc.matrix_critical_exponent(A, scan)
+        assert got == matrix_critical_exponent_oracle(A, scan) == self._entry_max(A, scan)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_singular_matrix_before_zero_raises(self):
         A = dc.random_dn(5, 3, 0)

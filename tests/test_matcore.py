@@ -14,8 +14,8 @@ from dncrit.matcore import (
     NegativeEigenvalueError,
     NotSymmetricError,
     ZeroToNegativePowerError,
+    _group_starts,
     clamp_psd,
-    count_distinct_eigenvalues,
 )
 
 
@@ -111,11 +111,11 @@ class TestDecomposition:
         assert dec.eigenvalues == pytest.approx([3.0, 2.0, 1.0])
 
     def test_distinct_eigenvalue_count(self):
-        assert count_distinct_eigenvalues(np.array([4.0, 2.0, 2.0 + 1e-12, 0.5])) == 3
-        assert count_distinct_eigenvalues(np.array([1.0, 1.0, 1.0])) == 1
-        assert count_distinct_eigenvalues(np.array([5.0])) == 1
+        assert _group_starts(np.array([4.0, 2.0 + 1e-12, 2.0, 0.5])).size == 3
+        assert _group_starts(np.array([1.0, 1.0, 1.0])).size == 1
+        assert _group_starts(np.array([5.0])).size == 1
         # below lambda_1 = 1 the tolerance stays MERGE_TOL, not MERGE_TOL * lambda_1
-        assert count_distinct_eigenvalues(np.array([0.3, 0.2, 0.2 - 5e-9])) == 2
+        assert _group_starts(np.array([0.3, 0.2, 0.2 - 5e-9])).size == 2
 
 
 class TestPowers:
