@@ -98,18 +98,47 @@ def _perms(n: int) -> np.ndarray:
 
 def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
     """Lexicographically smallest row-major flattening of P W P^T over all
-    permutations P.  Brute force; idempotent."""
+    permutations P, found among all n! of them; idempotent."""
     w = _canonical_flat(W.as_array()).reshape(W.n, W.n).tolist()
     return SignChangeMatrix(n=W.n, w=tuple(map(tuple, w)), generic=W.generic)
 
 
+@functools.cache
+def _flat_perm_index(n: int) -> np.ndarray:
+    """idx[p, e]: the entry of W.ravel() that entry e of (P W P^T).ravel()
+    reads (uint8: n*n <= 64 up to CANON_MAX_N)."""
+    perms = _perms(n)
+    idx = (perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n)
+    idx = idx.astype(np.uint8)
+    idx.setflags(write=False)  # one cached array serves every caller
+    return idx
+
+
 def _canonical_flat(arr: np.ndarray) -> np.ndarray:
+    """The smallest row-major flattening of P arr P^T over all permutations P.
+
+    Each entry is replaced by its dense rank among arr's distinct values,
+    which orders the variants as the values do, for any integer matrix,
+    symmetric or not.  Each variant's ranks are packed ``63 // bits`` to an
+    int64 word, first rank on top, so one lexsort over the few words (two
+    at n=6 with W entries 0..5, in place of 36 entries) finds the smallest.
+    """
     n = arr.shape[0]
     if n > CANON_MAX_N:
         raise DimensionTooLargeError(f"canonicalization capped at n={CANON_MAX_N}")
-    perms = _perms(n)
-    variants = arr[perms[:, :, None], perms[:, None, :]].reshape(-1, arr.size)
-    return variants[np.lexsort(variants.T[::-1])[0]]
+    flat = arr.ravel()
+    idx = _flat_perm_index(n)
+    values, ranks = np.unique(flat, return_inverse=True)
+    ranks = ranks.astype(np.uint8)  # n*n <= 64 distinct values
+    bits = max(1, (len(values) - 1).bit_length())
+    per_word = 63 // bits
+    words = -(-flat.size // per_word)
+    # uint8 digits keep the per-call arrays small (n=6: 30 KB, not 242 KB)
+    digits = np.zeros((len(idx), words * per_word), dtype=np.uint8)  # zero-padded tail
+    np.take(ranks, idx, out=digits[:, :flat.size], mode="clip")
+    weights = np.left_shift(1, bits * np.arange(per_word - 1, -1, -1, dtype=np.int64))
+    packed = digits.reshape(len(idx), words, per_word) @ weights
+    return flat[idx[np.lexsort(packed.T[::-1])[0]]]
 
 
 def _key_shifts(n: int) -> np.ndarray:

@@ -154,7 +154,8 @@ def eval_exppoly(f: ExpPoly, t):
 
 
 def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """(n, n, T) array with [i, j, a] = (A^{ts[a]})_{ij}, one einsum.
+    """(n, n, T) array with [i, j, a] = (A^{ts[a]})_{ij}: the (n, n, n)
+    products u_ik u_jk times the (n, T) power table, one matmul.
 
     Much faster than building n^2 ExpPoly objects when every entry of every
     power on a grid is needed; t must be >= 0 when A is singular.
@@ -165,7 +166,7 @@ def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
         raise ZeroToNegativePowerError("negative t with a zero eigenvalue")
     powed = np.power(lam[:, None], ts[None, :])
     u = dec.eigenvectors
-    return np.einsum("ik,jk,ka->ija", u, u, powed, optimize=True)
+    return (u[:, None, :] * u[None, :, :]) @ powed
 
 
 def descartes_bound(f: ExpPoly) -> int:
@@ -260,22 +261,31 @@ def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> fl
     return _matrix_critical_exponent(spectral_decompose(A), scan)
 
 
+def _grid_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(E, T) values of E entries' (E, K) coefficients on a (K, T) power
+    table, rounded as ``eval_exppoly`` rounds each entry's ``c @ table``.
+
+    A stack of E (1, K) @ (K, T) products does that; the plain
+    ``coeffs @ table`` sums in another order and differs in the last bits.
+    """
+    return (coeffs[:, None, :] @ table)[:, 0]
+
+
 def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
     """``matrix_critical_exponent`` on a decomposition the caller holds.
 
     The entries i <= j share one (K, T) power table of the grid, so their
-    grid values are one stacked product, as ``eval_exppoly`` computes them
-    entry by entry.  Only the last grid column with a negative value
-    matters: upper ends of runs that stop earlier lie below it, so just the
-    entries negative in that column are refined, and a run reaching the
-    last grid point ends at t_max.
+    grid values are one ``_grid_values`` product.  Only the last grid column
+    with a negative value matters: upper ends of runs that stop earlier lie
+    below it, so just the entries negative in that column are refined, and a
+    run reaching the last grid point ends at t_max.
     """
     ts = scan.grid()
     bases, coeffs, singular = _entry_terms(dec, *np.triu_indices(dec.n))
     if singular and ts[0] < 0.0:
         raise ZeroToNegativePowerError("entry has a dropped zero base; t < 0 undefined")
     table = np.power(bases[:, None], ts[None, :])
-    neg = (coeffs[:, None, :] @ table)[:, 0] < -scan.entry_tol
+    neg = _grid_values(coeffs, table) < -scan.entry_tol
     cols = np.flatnonzero(neg.any(axis=0))
     if cols.size == 0:
         return 0.0

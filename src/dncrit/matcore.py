@@ -204,12 +204,11 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecompo
     # so downstream consumers need true zeros here.
     scale = float(np.abs(lam).max()) if lam.size else 0.0
     lam[np.abs(lam) <= EIG_SNAP_TOL * scale] = 0.0
-    u = vecs[:, order].copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        big = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if big.size and col[big[0]] < 0:
-            u[:, k] = -col
+    u = vecs[:, order]
+    # A column's first entry past SIGN_TOL is its first True; a column with
+    # none has argmax 0 and an entry within SIGN_TOL there, so it keeps its sign.
+    lead = u[np.argmax(np.abs(u) > SIGN_TOL, axis=0), np.arange(u.shape[1])]
+    u = np.where(lead < -SIGN_TOL, -u, u)
     lam.setflags(write=False)
     u.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)

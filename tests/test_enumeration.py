@@ -1,9 +1,10 @@
-"""Sign-pattern enumeration, W construction from patterns, canonicalization,
-and the per-dimension class sets (including cross-validation of the row-set
-reduction against canonicalizing every pattern's W), the flip-word lemma the
-row-set reduction rests on, the chunked raw-key stage against a monolithic
-oracle, the packed W keys and key-level orbits the enumeration sweeps over,
-and pins of the n=5 and n=6 class lists and of their per-entry bounds."""
+"""Sign-pattern enumeration, W construction from patterns, canonicalization
+(against a brute-force oracle), and the per-dimension class sets (including
+cross-validation of the row-set reduction against canonicalizing every
+pattern's W), the flip-word lemma the row-set reduction rests on, the
+chunked raw-key stage against a monolithic oracle, the packed W keys and
+key-level orbits the enumeration sweeps over, and pins of the n=5 and n=6
+class lists and of their per-entry bounds."""
 
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
 from dncrit.enumeration import (
@@ -26,6 +27,14 @@ from dncrit.enumeration import (
     _raw_w_from_row_sets,
     _unpack_keys,
 )
+
+
+def _canonical_flat_oracle(arr):
+    """Oracle: every variant P arr P^T flattened, and one lexsort with one
+    key per entry, the first entry primary."""
+    perms = np.array(list(itertools.permutations(range(arr.shape[0]))), dtype=np.intp)
+    variants = arr[perms[:, :, None], perms[:, None, :]].reshape(-1, arr.size)
+    return variants[np.lexsort(variants.T[::-1])[0]]
 
 
 def _pack_keys(ws):
@@ -206,6 +215,31 @@ class TestCanonicalization:
             orbit.append(tuple(arr[np.ix_(pa, pa)].ravel()))
         assert tuple(flat) == min(orbit)
 
+    @given(st.integers(1, 7), st.sampled_from(["constant", "w", "small", "large"]),
+           st.integers(0, 2**32 - 1))
+    @example(7, "large", 0)
+    @example(7, "constant", 0)
+    @example(6, "w", 0)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_oracle(self, n, kind, seed):
+        # "w": symmetric with a zero diagonal; "small", "large": not symmetric,
+        # entries below n or below 2^40 (up to n*n distinct values)
+        rng = np.random.default_rng(seed)
+        if kind == "constant":
+            arr = np.full((n, n), int(rng.integers(0, 2**40)))
+        elif kind == "w":
+            arr = np.triu(rng.integers(0, n, size=(n, n)), 1)
+            arr = arr + arr.T
+        else:
+            arr = rng.integers(0, n if kind == "small" else 2**40, size=(n, n))
+        want = _canonical_flat_oracle(arr)
+        p = rng.permutation(n)
+        for a in (arr, arr[np.ix_(p, p)]):
+            got = _canonical_flat(a)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            W = dc.SignChangeMatrix(n=n, w=tuple(map(tuple, a.tolist())))
+            assert dc.canonicalize_w(W).w == tuple(map(tuple, want.reshape(n, n).tolist()))
+
     def test_cap(self):
         W = dc.SignChangeMatrix(n=9, w=tuple(tuple(0 for _ in range(9))
                                              for _ in range(9)))
@@ -304,7 +338,7 @@ class TestPackedKeys:
         # the sweep run on an arbitrary raw key set, against brute force
         n, uppers = drawn
         ws = np.stack([_symmetric(n, u) for u in uppers])
-        expected = sorted({tuple(_canonical_flat(w).tolist()) for w in ws})
+        expected = sorted({tuple(_canonical_flat_oracle(w).tolist()) for w in ws})
         keys = np.unique(_pack_keys(ws))
         with mock.patch("dncrit.enumeration._raw_w_from_row_sets", return_value=keys):
             got = [sum(W.w, ()) for W in dc.enumerate_w_classes(n)]

@@ -21,6 +21,8 @@ from dncrit.exppoly import (
     ExpPoly,
     NegativeInterval,
     ScanConfig,
+    _entry_terms,
+    _grid_values,
     grid_entry_values,
     sign_changes,
 )
@@ -137,6 +139,76 @@ class TestEvaluation:
             for j in range(4):
                 f = dc.entry_exppoly(dec, i, j)
                 assert vals[i, j] == pytest.approx(dc.eval_exppoly(f, ts), abs=1e-12)
+
+
+def _grid_entry_values_oracle(dec, ts):
+    """The einsum ``grid_entry_values`` replaced.  On a grid of at least n
+    points its path search forms the products u_ik u_jk first, as the
+    library does, and the values must match bit for bit; on a shorter grid
+    it multiplied u by the power table first and rounded differently."""
+    ts = np.asarray(ts, dtype=float)
+    powed = np.power(dec.clamped_eigenvalues[:, None], ts[None, :])
+    u = dec.eigenvectors
+    return np.einsum("ik,jk,ka->ija", u, u, powed, optimize=True)
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns, so -0.0 != 0.0."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _probe_corpus():
+    """n = 5, 6 DN matrices in the mix of ``search --family mixed``: Gram
+    matrices of every rank and irreducible tridiagonal ones, seeded."""
+    rng = np.random.default_rng([12, 5])
+    out = []
+    for k in range(48):
+        n = 5 + k % 2
+        if k % 4 < 2:
+            out.append(dc.random_dn(n, (k // 4) % n + 1, int(rng.integers(2**31))))
+        else:
+            out.append(dc.random_tridiagonal_dn(n, rng))
+    return out
+
+
+class TestGridValues:
+    """The two grid products keep the floats of their slower forms."""
+
+    def test_grid_entry_values_match_einsum_oracle(self):
+        ts = np.concatenate([0.01 * np.arange(301), [4.5, 7.25, 10.0]])
+        cases = [A for _, A in scan_corpus()] + [
+            sym(np.zeros((3, 3))), sym(np.eye(4)), sym(np.ones((5, 5))), sym([[2.0]])]
+        singular = repeated = 0
+        for A in cases:
+            dec = dc.spectral_decompose(A)
+            singular += bool(dec.clamped_eigenvalues[-1] == 0.0)
+            repeated += dec.group_starts.size < A.n
+            assert _same_bits(grid_entry_values(dec, ts), _grid_entry_values_oracle(dec, ts))
+            if dec.clamped_eigenvalues[-1] > 0.0:
+                neg = np.linspace(-1.5, 0.0, 9)
+                assert _same_bits(grid_entry_values(dec, neg),
+                                  _grid_entry_values_oracle(dec, neg))
+        assert singular >= 20 and repeated >= 20
+
+    def test_grid_entry_values_singular_negative_t_raises(self):
+        dec = dc.spectral_decompose(dc.random_dn(5, 3, 0))
+        with pytest.raises(ZeroToNegativePowerError):
+            grid_entry_values(dec, [-0.5, 1.0])
+        with pytest.raises(ZeroToNegativePowerError):
+            grid_entry_values(dc.spectral_decompose(sym(np.zeros((2, 2)))), [-1.0])
+
+    def test_scan_grid_values_match_eval_exppoly(self):
+        # the plain coeffs @ table rounds many values differently; the scan's
+        # stacked product must give each entry's eval_exppoly values exactly
+        for A in _probe_corpus() + [A for _, A in scan_corpus()]:
+            dec = dc.spectral_decompose(A)
+            ts = ScanConfig.for_matrix(A).grid()
+            iu, ju = np.triu_indices(A.n)
+            bases, coeffs, _ = _entry_terms(dec, iu, ju)
+            got = _grid_values(coeffs, np.power(bases[:, None], ts[None, :]))
+            want = [dc.eval_exppoly(dc.entry_exppoly(dec, i, j), ts) for i, j in zip(iu, ju)]
+            assert _same_bits(got, np.array(want).reshape(got.shape))
 
 
 class TestDescartes:

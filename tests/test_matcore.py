@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
 from dncrit.matcore import (
+    SIGN_TOL,
     MatrixFormatError,
     NegativeEigenvalueError,
     NotSymmetricError,
     ZeroToNegativePowerError,
+    _finish_decomposition,
     _group_starts,
     clamp_psd,
 )
@@ -27,6 +29,19 @@ def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(n, n))
     return sym((b + b.T) / 2)
+
+
+def _signed_columns_oracle(diag, vecs):
+    """The per-column loop the array sign fix-up replaced: the columns in
+    non-increasing eigenvalue order, each negated when its first entry past
+    SIGN_TOL is negative."""
+    u = vecs[:, np.argsort(-diag, kind="stable")].copy()
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        big = np.nonzero(np.abs(col) > SIGN_TOL)[0]
+        if big.size and col[big[0]] < 0:
+            u[:, k] = -col
+    return u
 
 
 class TestParsing:
@@ -103,6 +118,27 @@ class TestDecomposition:
             denom = max(1.0, np.abs(A.entries).max())
             assert np.abs(recon - A.entries).max() <= 1e-10 * denom
             assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-12
+
+    def test_sign_fix_up_matches_loop_oracle(self):
+        cases = [np.linalg.eigh(random_symmetric(2 + seed % 7, seed + 900).entries)
+                 for seed in range(40)]
+        cases += [np.linalg.eigh(a) for a in (np.zeros((3, 3)), np.eye(4), np.ones((5, 5)),
+                                              np.diag([3.0, 1.0, 2.0]))]
+        # columns with no entry past SIGN_TOL, signed zeros, and a negative
+        # entry within SIGN_TOL ahead of the first one past it
+        vecs = np.array([[-0.0, -1e-9, 0.0, -5e-9, 1e-9],
+                         [0.0, 2e-9, -0.0, 0.5, -0.0],
+                         [-0.0, -3e-9, -0.0, -0.5, -0.7]])
+        cases.append((np.array([1.0, 2.0, 2.0, 0.5, -1.0]), vecs))
+        flipped = 0
+        for diag, vecs in cases:
+            want = _signed_columns_oracle(diag, vecs)
+            got = _finish_decomposition(diag.copy(), vecs).eigenvectors
+            assert got.shape == want.shape and (got == want).all()
+            assert (np.signbit(got) == np.signbit(want)).all()
+            ordered = vecs[:, np.argsort(-diag, kind="stable")]
+            flipped += bool((np.signbit(want) != np.signbit(ordered)).any())
+        assert flipped >= 10
 
     def test_zero_and_diagonal(self):
         dec = dc.spectral_decompose(sym(np.zeros((3, 3))))
