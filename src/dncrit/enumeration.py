@@ -119,24 +119,29 @@ def _canonical_flat(arr: np.ndarray) -> np.ndarray:
 
     Each entry is replaced by its dense rank among arr's distinct values,
     which orders the variants as the values do, for any integer matrix,
-    symmetric or not.  Each variant's ranks are packed ``63 // bits`` to an
-    int64 word, first rank on top, so one lexsort over the few words (two
-    at n=6 with W entries 0..5, in place of 36 entries) finds the smallest.
+    symmetric or not.  A variant's first row is the prefix of its
+    flattening, so the n first-row ranks of every variant are packed into
+    one int64 word and only the variants with the smallest word go on.  Each
+    of those has its ranks packed ``63 // bits`` to an int64 word, first rank
+    on top, and one lexsort over the few words (two at n=6 with W entries
+    0..5, in place of 36 entries) finds the smallest.
     """
     n = arr.shape[0]
     if n > CANON_MAX_N:
         raise DimensionTooLargeError(f"canonicalization capped at n={CANON_MAX_N}")
     flat = arr.ravel()
     idx = _flat_perm_index(n)
-    values, ranks = np.unique(flat, return_inverse=True)
-    ranks = ranks.astype(np.uint8)  # n*n <= 64 distinct values
+    values = _dedupe(flat.copy())
+    ranks = np.searchsorted(values, flat).astype(np.uint8)  # n*n <= 64 values
     bits = max(1, (len(values) - 1).bit_length())
     per_word = 63 // bits
+    weights = np.left_shift(1, bits * np.arange(per_word - 1, -1, -1, dtype=np.int64))
+    first = ranks[idx[:, :n]] @ weights[per_word - n:]  # n * bits <= 48
+    idx = idx[first == first.min()]
     words = -(-flat.size // per_word)
     # uint8 digits keep the per-call arrays small (n=6: 30 KB, not 242 KB)
     digits = np.zeros((len(idx), words * per_word), dtype=np.uint8)  # zero-padded tail
     np.take(ranks, idx, out=digits[:, :flat.size], mode="clip")
-    weights = np.left_shift(1, bits * np.arange(per_word - 1, -1, -1, dtype=np.int64))
     packed = digits.reshape(len(idx), words, per_word) @ weights
     return flat[idx[np.lexsort(packed.T[::-1])[0]]]
 

@@ -159,6 +159,11 @@ def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
 
     Much faster than building n^2 ExpPoly objects when every entry of every
     power on a grid is needed; t must be >= 0 when A is singular.
+
+    The value at one t can differ in its last bits with the grid's length:
+    numpy takes another matmul kernel for short grids, so ``ts[:k]`` need not
+    give the first k columns of ``ts`` bit for bit, and ``dncrit scan`` can
+    print different 17th digits for one t under two windows.
     """
     ts = np.asarray(ts, dtype=float)
     lam = dec.clamped_eigenvalues
@@ -249,13 +254,24 @@ def _bisect_edge(b_col: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
 
 
 def entry_critical_exponent(f: ExpPoly, scan: ScanConfig) -> float:
-    """Supremum of upper endpoints of negativity intervals in the window, or
-    0.0 when the entry never dips below -entry_tol there."""
-    return max((iv.hi for iv in negative_intervals(f, scan)), default=0.0)
+    """Supremum of upper endpoints of negativity intervals in the window,
+    clamped at 0.0, the answer when the entry never dips below -entry_tol
+    there.  A window below t = 0 raises ValueError."""
+    _require_window_reaches_zero(scan)
+    return max([0.0] + [iv.hi for iv in negative_intervals(f, scan)])
+
+
+def _require_window_reaches_zero(scan: ScanConfig) -> None:
+    """A critical exponent is at least 0, so a window ending below t = 0
+    cannot bound one; a window that straddles 0 is clamped there."""
+    if scan.t_max < 0.0:
+        raise ValueError(f"scan window [{scan.t_min!r}, {scan.t_max!r}] lies below t = 0, "
+                         "where no critical exponent can lie")
 
 
 def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:
-    """Empirical critical exponent: max of the entry exponents over i <= j."""
+    """Empirical critical exponent: max of the entry exponents over i <= j,
+    under the window rule of ``entry_critical_exponent``."""
     if scan is None:
         scan = ScanConfig.for_matrix(A)
     return _matrix_critical_exponent(spectral_decompose(A), scan)
@@ -280,6 +296,7 @@ def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> f
     below it, so just the entries negative in that column are refined, and a
     run reaching the last grid point ends at t_max.
     """
+    _require_window_reaches_zero(scan)
     ts = scan.grid()
     bases, coeffs, singular = _entry_terms(dec, *np.triu_indices(dec.n))
     if singular and ts[0] < 0.0:

@@ -3,7 +3,10 @@
 W[i][j] is the number of sign changes in the coefficient sequence of the
 (i, j) entry polynomial (bases in decreasing order, zero coefficients
 skipped).  It bounds the number of real roots of that entry, hence how often
-the entry can turn negative as t grows.
+the entry can turn negative as t grows.  The coefficients u_ik u_jk of entry
+(j, i) are those of (i, j), and a diagonal entry's are sums of squares, so
+W is symmetric with a zero diagonal and only its n(n-1)/2 pairs i < j are
+counted.
 
 Structural facts used downstream: the diagonal is zero; each row and column
 holds at most one value as large as n-1 and nothing larger; off-diagonal
@@ -58,6 +61,9 @@ def sign_change_matrix(dec, zero_tol: float = COEFF_ZERO_TOL) -> SignChangeMatri
     """Compute W from a spectral decomposition (a SymMatrix is decomposed
     on the fly).
 
+    Only the n(n-1)/2 entries i < j build an entry polynomial; W is
+    symmetric with a zero diagonal (see the module docstring).
+
     The generic flag demands n eigenvalue groups (``dec.group_starts``) and
     no eigenvector coordinate within ZERO_COORD_TOL of zero (relative to the
     largest coordinate of that eigenvector); only then are the structural
@@ -66,18 +72,14 @@ def sign_change_matrix(dec, zero_tol: float = COEFF_ZERO_TOL) -> SignChangeMatri
     if isinstance(dec, SymMatrix):
         dec = spectral_decompose(dec)
     n = dec.n
-    distinct = dec.group_starts.size == n
-    coord_ok = True
-    for k in range(n):
-        col = np.abs(dec.eigenvectors[:, k])
-        if col.min() <= ZERO_COORD_TOL * col.max():
-            coord_ok = False
-            break
-    rows = []
+    coords = np.abs(dec.eigenvectors)
+    coord_ok = bool((coords.min(axis=0) > ZERO_COORD_TOL * coords.max(axis=0)).all())
+    w = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows.append(tuple(descartes_bound(entry_exppoly(dec, i, j, zero_tol))
-                          for j in range(n)))
-    return SignChangeMatrix(n=n, w=tuple(rows), generic=distinct and coord_ok)
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = descartes_bound(entry_exppoly(dec, i, j, zero_tol))
+    return SignChangeMatrix(n=n, w=tuple(map(tuple, w)),
+                            generic=dec.group_starts.size == n and coord_ok)
 
 
 def component_bound(w: int) -> int:
@@ -95,8 +97,13 @@ def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
     Violations are reported with 1-based positions so they read naturally next
     to printed matrices.
     """
+    w, cap = W.w, W.n - 1
+    # a valid W passes a few scalar reductions on its rows; by symmetry, at
+    # most one cap per row covers the columns too
+    if (w == tuple(zip(*w)) and min(map(min, w)) >= 0 and max(map(max, w)) <= cap
+            and not any(w[i][i] for i in range(W.n)) and all(r.count(cap) <= 1 for r in w)):
+        return ValidationResult(ok=True, violations=())
     arr = W.as_array()
-    cap = W.n - 1
     at_cap = arr == cap
     diag = np.diagonal(arr)
     over = arr.max(axis=1, initial=0) > cap
@@ -104,9 +111,6 @@ def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
     multi_col = at_cap.sum(axis=0) > 1
     symmetric = (arr == arr.T).all()
     negative = (arr < 0).any()
-    if symmetric and not (diag.any() or negative or over.any() or multi_row.any()
-                          or multi_col.any()):
-        return ValidationResult(ok=True, violations=())
     violations: list[str] = []
     if not symmetric:
         violations.append("not symmetric")
@@ -121,7 +125,7 @@ def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
             violations.append(f"row {i + 1} has multiple entries equal to {cap}")
     violations += [f"column {j + 1} has multiple entries equal to {cap}"
                    for j in np.flatnonzero(multi_col)]
-    return ValidationResult(ok=False, violations=tuple(violations))
+    return ValidationResult(ok=not violations, violations=tuple(violations))
 
 
 def parse_sign_change_matrix(text: str) -> SignChangeMatrix:

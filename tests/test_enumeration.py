@@ -215,18 +215,27 @@ class TestCanonicalization:
             orbit.append(tuple(arr[np.ix_(pa, pa)].ravel()))
         assert tuple(flat) == min(orbit)
 
-    @given(st.integers(1, 7), st.sampled_from(["constant", "w", "small", "large"]),
+    @given(st.integers(1, 7),
+           st.sampled_from(["constant", "flat", "w", "small", "large"]),
            st.integers(0, 2**32 - 1))
     @example(7, "large", 0)
     @example(7, "constant", 0)
+    @example(7, "flat", 0)
     @example(6, "w", 0)
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @example(1, "constant", 0)
+    @example(1, "large", 1)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_oracle(self, n, kind, seed):
-        # "w": symmetric with a zero diagonal; "small", "large": not symmetric,
-        # entries below n or below 2^40 (up to n*n distinct values)
+        # "constant" and "flat" (all off-diagonal entries equal): every
+        # relabeling ties on the first row; "w": symmetric with a zero
+        # diagonal; "small", "large": not symmetric, entries below n or
+        # below 2^40 (up to n*n distinct values)
         rng = np.random.default_rng(seed)
         if kind == "constant":
             arr = np.full((n, n), int(rng.integers(0, 2**40)))
+        elif kind == "flat":
+            arr = np.full((n, n), int(rng.integers(0, n)))
+            np.fill_diagonal(arr, 0)
         elif kind == "w":
             arr = np.triu(rng.integers(0, n, size=(n, n)), 1)
             arr = arr + arr.T
@@ -239,6 +248,14 @@ class TestCanonicalization:
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
             W = dc.SignChangeMatrix(n=n, w=tuple(map(tuple, a.tolist())))
             assert dc.canonicalize_w(W).w == tuple(map(tuple, want.reshape(n, n).tolist()))
+
+    def test_n8_matches_oracle(self):
+        # CANON_MAX_N: 40,320 relabelings, of which 96 tie on the smallest
+        # first row (entries 0..2 repeat), so the lexsort has work left
+        arr = np.triu(np.random.default_rng(8).integers(0, 3, size=(8, 8)), 1)
+        arr = arr + arr.T
+        assert dc.enumeration.CANON_MAX_N == 8
+        assert _canonical_flat(arr).tolist() == _canonical_flat_oracle(arr).tolist()
 
     def test_cap(self):
         W = dc.SignChangeMatrix(n=9, w=tuple(tuple(0 for _ in range(9))

@@ -603,3 +603,38 @@ class TestScanOracle:
             dc.matrix_critical_exponent(A, scan)
         with pytest.raises(ZeroToNegativePowerError):
             dc.matrix_critical_exponent(sym(np.zeros((2, 2))), scan)
+
+
+class TestWindowBelowZero:
+    """One rule for both exponents: a window ending below t = 0 raises, and
+    a window straddling 0 clamps the answer at 0.0."""
+
+    def test_window_below_zero_raises(self):
+        A = tridiag(4)
+        scan = ScanConfig.for_matrix(A, t_min=-2.0, t_max=-0.5)
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 1)
+        # the entry is negative over the whole window (A^-1 has -0.6 there)
+        assert dc.negative_intervals(f, scan) == (NegativeInterval(-2.0, -0.5, True, True),)
+        with pytest.raises(ValueError, match=r"\[-2\.0, -0\.5\]"):
+            dc.entry_critical_exponent(f, scan)
+        with pytest.raises(ValueError, match=r"\[-2\.0, -0\.5\]"):
+            dc.matrix_critical_exponent(A, scan)
+
+    def test_straddling_window_clamps_at_zero(self):
+        A = tridiag(4)
+        scan = ScanConfig.for_matrix(A, t_min=-2.0, t_max=0.5)
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 1)
+        (run,) = dc.negative_intervals(f, scan)
+        assert run.lo_clipped and -1e-9 < run.hi < 0.0
+        assert dc.entry_critical_exponent(f, scan) == 0.0
+        got = dc.matrix_critical_exponent(A, scan)
+        assert got == matrix_critical_exponent_oracle(A, scan) == 0.5
+        assert got == TestScanOracle._entry_max(A, scan)
+
+    def test_window_ending_at_zero_is_allowed(self):
+        A = tridiag(4)
+        scan = ScanConfig.for_matrix(A, t_min=-2.0, t_max=0.0)
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 1)
+        assert dc.entry_critical_exponent(f, scan) == 0.0
+        got = dc.matrix_critical_exponent(A, scan)
+        assert got == matrix_critical_exponent_oracle(A, scan) == 0.0

@@ -1,12 +1,18 @@
 """Sign change matrix construction, structural validation, component bound."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
+from dncrit import signchange
+from dncrit.exppoly import COEFF_ZERO_TOL, descartes_bound, entry_exppoly
 from dncrit.signchange import (
+    ZERO_COORD_TOL,
     SignChangeMatrix,
+    ValidationResult,
     format_sign_change_matrix,
     parse_sign_change_matrix,
 )
@@ -19,6 +25,56 @@ def sym(a):
 def tridiag(n):
     return sym(np.diag([2.0] * n) + np.diag([1.0] * (n - 1), 1)
                + np.diag([1.0] * (n - 1), -1))
+
+
+def _sign_change_matrix_oracle(dec, zero_tol=COEFF_ZERO_TOL):
+    """The n^2 loop that the pair-wise W replaced: one entry polynomial per
+    entry, diagonal and lower triangle included, and one eigenvector column
+    at a time for the zero-coordinate test."""
+    n = dec.n
+    coord_ok = True
+    for k in range(n):
+        col = np.abs(dec.eigenvectors[:, k])
+        if col.min() <= ZERO_COORD_TOL * col.max():
+            coord_ok = False
+            break
+    w = tuple(tuple(descartes_bound(entry_exppoly(dec, i, j, zero_tol)) for j in range(n))
+              for i in range(n))
+    return SignChangeMatrix(n=n, w=w, generic=dec.group_starts.size == n and coord_ok)
+
+
+@st.composite
+def w_sources(draw):
+    """A DN matrix, n = 1..8: a Gram matrix of any rank, an irreducible
+    tridiagonal matrix, I, J (all ones) or I + J."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gram", "tridiagonal", "I", "J", "I+J"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "gram":
+        return dc.random_dn(n, draw(st.integers(1, n)), seed)
+    if kind == "tridiagonal" and n > 1:
+        return dc.random_tridiagonal_dn(n, np.random.default_rng(seed))
+    return sym({"I": np.eye(n), "J": np.ones((n, n))}.get(kind, np.eye(n) + np.ones((n, n))))
+
+
+class TestPairwiseConstruction:
+    @given(w_sources(), st.sampled_from([COEFF_ZERO_TOL, 1e-3, 0.0]))
+    @example(tridiag(8), 0.0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_n_squared_oracle(self, A, zero_tol):
+        dec = dc.spectral_decompose(A)
+        got = dc.sign_change_matrix(dec, zero_tol)
+        want = _sign_change_matrix_oracle(dec, zero_tol)
+        assert got.n == want.n and got.w == want.w
+        assert got.generic == want.generic
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_entry_polynomial_per_pair(self, n):
+        dec = dc.spectral_decompose(dc.random_dn(n, n, n))
+        with mock.patch.object(signchange, "entry_exppoly", wraps=entry_exppoly) as spy:
+            dc.sign_change_matrix(dec)
+        assert spy.call_count == n * (n - 1) // 2
+        assert all(i < j for (_, i, j, _), _ in spy.call_args_list)
 
 
 class TestConstruction:
@@ -101,6 +157,24 @@ def near_w(draw):
     return SignChangeMatrix(n=n, w=tuple(map(tuple, w.tolist())))
 
 
+def _validate_oracle(W):
+    """The validation that the fast path replaced: every array check first,
+    then the verdict."""
+    arr = W.as_array()
+    cap = W.n - 1
+    at_cap = arr == cap
+    diag = np.diagonal(arr)
+    over = arr.max(axis=1, initial=0) > cap
+    multi_row = at_cap.sum(axis=1) > 1
+    multi_col = at_cap.sum(axis=0) > 1
+    symmetric = (arr == arr.T).all()
+    negative = (arr < 0).any()
+    if symmetric and not (diag.any() or negative or over.any() or multi_row.any()
+                          or multi_col.any()):
+        return ValidationResult(ok=True, violations=())
+    return ValidationResult(ok=False, violations=_violations_oracle(W))
+
+
 class TestValidation:
     @given(near_w())
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -108,6 +182,23 @@ class TestValidation:
         result = dc.validate_sign_change_matrix(W)
         assert result.violations == _violations_oracle(W)
         assert result.ok == (not result.violations)
+        assert result == _validate_oracle(W)
+
+    @pytest.mark.parametrize("w", [((0,),), ((1,),), ((-1,),)])
+    def test_n1_matches_old_validation(self, w):
+        W = SignChangeMatrix(n=1, w=w)
+        result = dc.validate_sign_change_matrix(W)
+        assert result == _validate_oracle(W)
+        assert result.ok == (w == ((0,),))
+
+    def test_valid_w_match_old_validation(self):
+        # every enumerated class is valid, and so is the W of a generic DN matrix
+        classes = [W for n in range(1, 6) for W in dc.enumerate_w_classes(n)]
+        drawn = [dc.sign_change_matrix(dc.random_dn(n, n, seed))
+                 for n in range(1, 8) for seed in range(10)]
+        for W in classes + drawn:
+            assert dc.validate_sign_change_matrix(W) == _validate_oracle(W)
+        assert all(dc.validate_sign_change_matrix(W).ok for W in classes)
 
     def test_toeplitz_ok(self):
         w = tuple(tuple(abs(i - j) for j in range(5)) for i in range(5))
