@@ -24,6 +24,7 @@ from .signchange import SignChangeMatrix
 
 ENUM_MAX_N = 6
 CANON_MAX_N = 8
+KEY_MAX_N = 7  # 3 bits per strict-upper entry of W: 63 bits at n=7, 84 at n=8
 
 
 class DimensionTooLargeError(ValueError):
@@ -148,8 +149,12 @@ def _canonical_flat(arr: np.ndarray) -> np.ndarray:
 
 def _key_shifts(n: int) -> np.ndarray:
     """Bit offset of each strict-upper entry of W in its uint64 key (entries
-    0..7, n <= 7), row-major, 3 bits each, first on top: for symmetric W with
-    zero diagonal, key order is the order of the row-major flattenings."""
+    0..7, n <= KEY_MAX_N), row-major, 3 bits each, first on top: for
+    symmetric W with zero diagonal, key order is the order of the row-major
+    flattenings."""
+    if n > KEY_MAX_N:
+        raise DimensionTooLargeError(
+            f"W keys hold 3 bits per entry in 64 bits, capped at n={KEY_MAX_N}")
     return np.arange(n * (n - 1) // 2, dtype=np.uint64)[::-1] * np.uint64(3)
 
 
@@ -163,12 +168,21 @@ def _unpack_keys(keys, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _orbit_sources(n: int) -> np.ndarray:
-    """src[p, e]: the entry of W's key that entry e of (P W P^T)'s key reads."""
+def _orbit_weights(n: int) -> np.ndarray:
+    """table[e, p]: the weight of entry e of W's key in (P W P^T)'s key, so
+    that the key's 3-bit digits times the table give the whole orbit in
+    permutation order.  The product is exact: each column sends every digit
+    to its own 3-bit field, and the fields never overlap."""
+    shifts = _key_shifts(n)
     iu, ju = np.triu_indices(n, 1)
     pos = np.zeros((n, n), dtype=np.intp)
     pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
-    return pos[_perms(n)[:, iu], _perms(n)[:, ju]]
+    perms = _perms(n)
+    src = pos[perms[:, iu], perms[:, ju]]  # entry e of P W P^T reads entry src[p, e] of W
+    table = np.zeros((len(iu), len(perms)), dtype=np.uint64)
+    table[src, np.arange(len(perms))[:, None]] = np.uint64(1) << shifts
+    table.setflags(write=False)  # one cached array serves every caller
+    return table
 
 
 def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
@@ -178,22 +192,25 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     Works on unordered sets of pattern rows, streamed in chunks by their
     first flip word (n=6: 169,911 row sets in 31 chunks -> 126,651
     column-distinct -> 18,903 raw keys -> 399 classes), then sweeps orbits:
-    the smallest live key's n! orbit, permuted key to key, gives its class's
-    canonical (minimum) key and retires all its raw keys: classes x n! work.
-    The canonical keys are unpacked in one batch.
+    the smallest live key's n! orbit is its 3-bit digits times the cached
+    ``_orbit_weights`` table, one matmul; sorted, its first key is the
+    class's canonical (minimum) key, and one in-order lookup among the raw
+    keys retires all of the class's raw keys: classes x n! work.  The
+    canonical keys are unpacked in one batch.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_MAX_N:
         raise DimensionTooLargeError(f"class enumeration capped at n={ENUM_MAX_N}")
     keys = _raw_w_from_row_sets(n)
-    src, shifts = _orbit_sources(n), _key_shifts(n)
+    table, shifts = _orbit_weights(n), _key_shifts(n)
     alive = np.ones(len(keys), dtype=bool)
     canonical = []
     cur = 0
     while alive[cur]:  # keys[cur] is the smallest live key
-        orbit = np.bitwise_or.reduce(((keys[cur] >> shifts) & 7)[src] << shifts, axis=1)
-        canonical.append(orbit.min())
+        orbit = ((keys[cur] >> shifts) & np.uint64(7)) @ table
+        orbit.sort()
+        canonical.append(orbit[0])
         at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
         alive[at[keys[at] == orbit]] = False
         cur += int(alive[cur:].argmax())  # stays on the retired keys[cur] if none is left
@@ -230,17 +247,22 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
 
     Chunk a holds the sets whose smallest nonzero word is a, for a = 1 ..
     2^(n-1)-1: word a followed by each (n-2)-word tail of larger words.  The
-    tails are built once, in lexicographic order, so chunk a takes a suffix
-    of them (empty once fewer than n-2 words exceed a); n=6 has 31,465
-    tails in place of 169,911 sets.  The parts of the key and of the column
-    codes that do not involve word a are computed on the tails once, too.
+    tails come once from ``_tails``, in lexicographic order, so chunk a takes
+    a suffix of them (empty once fewer than n-2 words exceed a); n=6 has
+    31,465 tails in place of 169,911 sets.  The parts of the key and of the
+    column codes that do not involve word a are computed on the tails once,
+    too.
 
     Column distinctness: byte k of par[f] is the parity of f's low k bits,
-    i.e. f's sign in column k, so ORing par[f_r] << (r-1) over the rows r
-    below row 1 gives, byte by byte, each column's code (bit r-1: row r is
-    - there; row 1 is + everywhere and is left out).  A set is column-
-    distinct when no code repeats, which a running seen/dup mask over the
-    2^(n-1) possible codes tells (one uint64, n <= 7).
+    i.e. f's sign in column k, so ORing par[f_r] << (r-1) over the rows
+    r = 1 .. n-1 (numbered from 0, as in W) gives, byte by byte, each
+    column's code (bit r-1: row r is - there; row 0, the word 0, is +
+    everywhere and is left out).  Word a is row 1 and sets only bit 0 of
+    each byte, the tail only the bits above it, so two columns of a
+    set share a code exactly when word a and the tail both leave them
+    equal.  ``_equal_pairs`` gives, once per tail and once per word a, the
+    column pairs each leaves equal, and a set is column-distinct when the
+    AND of its two masks is 0.
     """
     m = n - 1
     if m == 0:
@@ -254,32 +276,67 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
     shift = np.zeros((n, n), dtype=np.uint64)
     shift[np.triu_indices(n, 1)] = _key_shifts(n)
 
-    count = math.comb(2 ** m - 1, m - 1)
-    tails = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(1, 2 ** m), m - 1)), np.uint8, count * (m - 1))
-    tails = tails.reshape(count, m - 1)  # count, not -1: m-1 = 0 at n=2
-    tail_code = np.zeros(count, dtype=np.uint64)
-    tail_key = np.zeros(count, dtype=np.uint64)
+    tails = _tails(m)
+    tail_code = np.zeros(len(tails), dtype=np.uint64)
+    tail_key = np.zeros(len(tails), dtype=np.uint64)
     for j in range(m - 1):  # tail word j is row j+2
         t = tails[:, j]
         tail_code |= par[t] << np.uint64(j + 1)
         tail_key |= pop[t] << shift[0, j + 2]
         for i in range(j):
             tail_key |= pop[tails[:, i] ^ t] << shift[i + 2, j + 2]
+    tail_eq = _equal_pairs(tail_code, n)
+    a_eq = _equal_pairs(par, n)
     # each tail's smallest word (2^m, past every a, for n=2's empty tail) rises
     # with the tail's index, so the tails above a start where it first exceeds a
     starts = np.searchsorted(tails.min(axis=1, initial=2 ** m), words[1:], side="right")
 
     for a, s in zip(range(1, 2 ** m), starts.tolist()):
-        code = par[a] | tail_code[s:]
-        seen = np.ones(len(code), dtype=np.uint64)  # column 0's code is always 0
-        dup = np.zeros(len(code), dtype=np.uint64)
-        for k in bytes_[1:]:
-            bit = np.uint64(1) << ((code >> k) & np.uint64(255))
-            dup |= seen & bit
-            seen |= bit
-        keep = np.flatnonzero(dup == 0) + s
+        keep = np.flatnonzero((tail_eq[s:] & a_eq[a]) == 0) + s
         key = tail_key[keep] | pop[a] << shift[0, 1]
         for j in range(m - 1):
             key |= pop[a ^ tails[keep, j]] << shift[1, j + 2]
         yield key
+
+
+def _tails(m: int) -> np.ndarray:
+    """Every (m-1)-subset of the words 1 .. 2^m - 1 as an increasing uint8
+    row, in lexicographic order (one empty row at m = 1).
+
+    Grown one word at a time: a row whose last word is l gets the children
+    l+1 .. 2^m - 1, each row's children in increasing order, parents in
+    order, which keeps the rows lexicographic.
+    """
+    top = 2 ** m
+    cols: list[np.ndarray] = []
+    last = np.zeros(1, dtype=np.intp)  # the words start at 1
+    for _ in range(m - 1):
+        counts = top - 1 - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.cumsum(counts) - counts  # each parent's first child
+        last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
+        cols = [c[parent] for c in cols] + [last.astype(np.uint8)]
+    if not cols:
+        return np.zeros((1, 0), dtype=np.uint8)
+    return np.stack(cols, axis=1)
+
+
+def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
+    """For uint64 codes holding one byte per column 0..n-1 (n <= 8): bit
+    8k + d - 1 set where bytes k and k + d are equal, for every pair of
+    columns k < k + d < n.
+
+    x XOR (x >> 8d) has byte k zero exactly where bytes k and k + d agree,
+    and the exact zero-byte test ~(((y & 0x7f..) + 0x7f..) | y | 0x7f..)
+    marks each zero byte of y with its top bit, with no carry between
+    bytes.  Shifting the marks for distance d down by 8 - d gives every
+    pair its own bit.
+    """
+    low7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+    eq = np.zeros(codes.shape, dtype=np.uint64)
+    for d in range(1, n):
+        y = codes ^ (codes >> np.uint64(8 * d))
+        zero = ~(((y & low7) + low7) | y | low7)
+        pairs = np.uint64(sum(0x80 << 8 * k for k in range(n - d)))  # k + d < n
+        eq |= (zero & pairs) >> np.uint64(8 - d)
+    return eq

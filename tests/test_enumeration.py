@@ -2,9 +2,10 @@
 (against a brute-force oracle), and the per-dimension class sets (including
 cross-validation of the row-set reduction against canonicalizing every
 pattern's W), the flip-word lemma the row-set reduction rests on, the
-chunked raw-key stage against a monolithic oracle, the packed W keys and
-key-level orbits the enumeration sweeps over, and pins of the n=5 and n=6
-class lists and of their per-entry bounds."""
+chunked raw-key stage against a monolithic oracle (and its tails and
+column-pair masks against the loops they replaced), the packed W keys and
+key-level orbits the enumeration sweeps over, the count each stage keeps,
+and pins of the n=5 and n=6 class lists and of their per-entry bounds."""
 
 import hashlib
 import itertools
@@ -20,11 +21,13 @@ from dncrit.enumeration import (
     DimensionTooLargeError,
     SignPattern,
     _canonical_flat,
+    _equal_pairs,
     _key_shifts,
     _count_sign_patterns,
-    _orbit_sources,
+    _orbit_weights,
     _raw_key_chunks,
     _raw_w_from_row_sets,
+    _tails,
     _unpack_keys,
 )
 
@@ -67,6 +70,46 @@ def _raw_keys_monolithic(n):
     for (i, j), shift in zip(zip(*np.triu_indices(n, 1)), _key_shifts(n)):
         keys |= pop[flips[:, i] ^ flips[:, j]] << shift
     return keys
+
+
+def _orbit_sources(n):
+    """Oracle: src[p, e], the entry of W's key that entry e of (P W P^T)'s
+    key reads."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    iu, ju = np.triu_indices(n, 1)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    return pos[perms[:, iu], perms[:, ju]]
+
+
+def _orbit_gather(key, n):
+    """Oracle: the n! keys of (P W P^T) in permutation order, each gathered
+    3-bit field by field from W's key and ORed together."""
+    shifts = _key_shifts(n)
+    return np.bitwise_or.reduce(((key >> shifts) & 7)[_orbit_sources(n)] << shifts, axis=1)
+
+
+def _tails_oracle(n):
+    """Oracle: the (n-2)-subsets of the words 1 .. 2^(n-1) - 1 from
+    itertools, as uint8 rows."""
+    m = n - 1
+    count = math.comb(2 ** m - 1, m - 1)
+    tails = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(1, 2 ** m), m - 1)), np.uint8, count * (m - 1))
+    return tails.reshape(count, m - 1)  # count, not -1: m-1 = 0 at n=2
+
+
+def _columns_distinct_oracle(codes, n):
+    """Oracle: a running seen/dup mask over the 2^(n-1) possible column codes
+    (one byte per column, column 0's code always 0): True where no code
+    repeats."""
+    seen = np.ones(len(codes), dtype=np.uint64)
+    dup = np.zeros(len(codes), dtype=np.uint64)
+    for k in np.arange(8, 8 * n, 8, dtype=np.uint64):
+        bit = np.uint64(1) << ((codes >> k) & np.uint64(255))
+        dup |= seen & bit
+        seen |= bit
+    return dup == 0
 
 
 def _flip_word(row):
@@ -321,6 +364,56 @@ class TestRawKeyChunks:
     def test_n6_raw_key_count(self):
         assert len(_raw_w_from_row_sets(6)) == 18903
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_tails_match_itertools(self, n):
+        got, expected = _tails(n - 1), _tails_oracle(n)
+        assert got.dtype == np.uint8
+        assert got.shape == expected.shape  # n=2: one empty tail, shape (1, 0)
+        assert np.array_equal(got, expected)
+
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, 255), min_size=n, max_size=n), min_size=1, max_size=30))))
+    @example((7, [[5] * 7, list(range(7)), [0, 255, 0, 255, 128, 127, 1]]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equal_pairs_match_bytewise_comparison(self, drawn):
+        n, rows = drawn
+        codes = np.array([sum(b << 8 * k for k, b in enumerate(r)) for r in rows],
+                         dtype=np.uint64)
+        expected = [sum(1 << (8 * k + d - 1) for k in range(n) for d in range(1, n - k)
+                        if r[k] == r[k + d]) for r in rows]
+        assert _equal_pairs(codes, n).tolist() == expected
+
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, 2 ** (n - 1) - 1), min_size=n - 1, max_size=n - 1),
+        min_size=1, max_size=30))))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_pair_masks_agree_with_the_seen_dup_loop(self, drawn):
+        # column codes of the n-1 rows below row 0 (column 0's code is 0), split
+        # as the chunk stage splits them: bit 0 of each code from the leading
+        # word a, the higher bits from the tail
+        n, rows = drawn
+        codes = np.array([sum(b << 8 * k for k, b in enumerate([0] + r)) for r in rows],
+                         dtype=np.uint64)
+        low = np.uint64(sum(1 << 8 * k for k in range(n)))
+        kept = (_equal_pairs(codes & low, n) & _equal_pairs(codes & ~low, n)) == 0
+        assert kept.tolist() == _columns_distinct_oracle(codes, n).tolist()
+
+    @pytest.mark.parametrize("n, counts", [
+        (1, (1, 1, 1, 1)), (2, (1, 1, 1, 1)), (3, (3, 3, 2, 1)), (4, (35, 29, 12, 4)),
+        (5, (1365, 1015, 275, 22)), (6, (169911, 126651, 18903, 399)),
+    ])
+    def test_stage_counts(self, n, counts):
+        # row sets -> column-distinct sets -> raw keys -> classes
+        m = n - 1
+        row_sets = math.comb(2 ** m - 1, m)
+        if n > 1:  # chunk a visits the tails whose smallest word exceeds a
+            smallest = _tails(m).min(axis=1, initial=2 ** m)
+            assert sum(int((smallest > a).sum()) for a in range(1, 2 ** m)) == row_sets
+        column_distinct = sum(len(chunk) for chunk in _raw_key_chunks(n))
+        raw_keys = len(_raw_w_from_row_sets(n))
+        classes = len(dc.enumerate_w_classes(n))
+        assert (row_sets, column_distinct, raw_keys, classes) == counts
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_pattern_count(self, n):
         assert _count_sign_patterns(n) == sum(1 for _ in dc.enumerate_sign_patterns(n))
@@ -361,18 +454,41 @@ class TestPackedKeys:
             got = [sum(W.w, ()) for W in dc.enumerate_w_classes(n)]
         assert got == expected
 
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
         st.integers(0, 7), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    @example((7, [7] * 21))  # every field full: the product's largest key
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_key_level_orbit_matches_matrix_orbit(self, drawn):
-        # the sweep's orbit expression, against P W P^T packed in permutation order
+        # the sweep's orbit product and the gather/OR it replaced, against
+        # P W P^T packed in permutation order
         n, upper = drawn
         w = _symmetric(n, upper)
         expected = _pack_keys(np.stack(
             [w[np.ix_(p, p)] for p in itertools.permutations(range(n))]))
         key, shifts = _pack_keys(w[None])[0], _key_shifts(n)
-        got = np.bitwise_or.reduce(((key >> shifts) & 7)[_orbit_sources(n)] << shifts, axis=1)
+        assert _orbit_gather(key, n).tolist() == expected.tolist()
+        got = ((key >> shifts) & np.uint64(7)) @ _orbit_weights(n)
+        assert got.dtype == np.uint64
         assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_orbit_weights_table(self, n):
+        table = _orbit_weights(n)
+        assert table.shape == (n * (n - 1) // 2, math.factorial(n))
+        assert table.dtype == np.uint64
+        assert not table.flags.writeable
+        # each permutation sends the entries to distinct 3-bit fields
+        assert (np.bitwise_or.reduce(table, axis=0) == sum(
+            1 << int(s) for s in _key_shifts(n))).all()
+
+    def test_key_packing_capped_at_n7(self):
+        assert len(_key_shifts(7)) == 21
+        with pytest.raises(DimensionTooLargeError):
+            _key_shifts(8)
+        with pytest.raises(DimensionTooLargeError):
+            _orbit_weights(8)
+        with pytest.raises(DimensionTooLargeError):
+            _unpack_keys(0, 8)
 
     def test_n1_key_is_zero(self):
         assert _pack_keys(np.zeros((1, 1, 1), dtype=np.int8)).tolist() == [0]
