@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import ENUM_MAX_N, DimensionTooLargeError, enumerate_w_classes
+from .enumeration import KEY_MAX_N, DimensionTooLargeError, enumerate_w_classes
 from .signchange import SignChangeMatrix, validate_sign_change_matrix
 
 UNBOUNDED = math.inf
@@ -84,13 +84,15 @@ def entry_bounds_from_w(W: SignChangeMatrix) -> EntryBoundMatrix:
     result = validate_sign_change_matrix(W)
     if not result.ok:
         raise InvalidWError("; ".join(result.violations))
-    arr = W.as_array()
-    # row rule, M+1 for rows with every entry <= 4; column j mirrors row j (W symmetric)
-    row = np.where((arr <= 4).all(axis=1), (arr > 2).sum(axis=1) + 1.0, UNBOUNDED)
-    bound = np.minimum.outer(row, row)
-    bound[arr == 2] = 1.0   # every row bound is at least 1
-    bound[arr <= 1] = 0.0
-    return EntryBoundMatrix(n=W.n, bound=tuple(map(tuple, bound.tolist())))
+    # row rule, M+1 for rows with every entry <= 4 (so M counts the 3s and 4s);
+    # column j mirrors row j (W symmetric)
+    row = [r.count(3) + r.count(4) + 1.0 if max(r) <= 4 else UNBOUNDED for r in W.w]
+    # list comprehensions, not generators: this runs once per class
+    bound = tuple([
+        tuple([0.0 if v <= 1 else 1.0 if v == 2 else ri if ri < rj else rj  # row bounds are >= 1
+               for v, rj in zip(r, row)])
+        for r, ri in zip(W.w, row)])
+    return EntryBoundMatrix(n=W.n, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,9 @@ def certify_dimension(n: int) -> CertificateReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > ENUM_MAX_N:
+    if n > KEY_MAX_N:
         raise DimensionTooLargeError(
-            f"certification relies on enumeration, capped at n={ENUM_MAX_N}")
+            f"certification relies on enumeration, capped at n={KEY_MAX_N}")
     classes = enumerate_w_classes(n)
     certs = tuple(ClassCertificate(w=w, bounds=entry_bounds_from_w(w)) for w in classes)
     maxima = [c.max_bound for c in certs]

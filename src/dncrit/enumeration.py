@@ -22,7 +22,7 @@ import numpy as np
 
 from .signchange import SignChangeMatrix
 
-ENUM_MAX_N = 6
+ENUM_MAX_N = 6  # sign patterns one by one: 15.2M at n=6, 3.8e10 at n=7
 CANON_MAX_N = 8
 KEY_MAX_N = 7  # 3 bits per strict-upper entry of W: 63 bits at n=7, 84 at n=8
 
@@ -115,6 +115,16 @@ def _flat_perm_index(n: int) -> np.ndarray:
     return idx
 
 
+@functools.cache
+def _first_row_index(n: int) -> np.ndarray:
+    """The first n columns of ``_flat_perm_index(n)`` (each relabeling's
+    first row) as one contiguous intp array: a gather through the uint8
+    table converts its indices to intp on every call."""
+    idx = np.ascontiguousarray(_flat_perm_index(n)[:, :n], dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
 def _canonical_flat(arr: np.ndarray) -> np.ndarray:
     """The smallest row-major flattening of P arr P^T over all permutations P.
 
@@ -137,7 +147,7 @@ def _canonical_flat(arr: np.ndarray) -> np.ndarray:
     bits = max(1, (len(values) - 1).bit_length())
     per_word = 63 // bits
     weights = np.left_shift(1, bits * np.arange(per_word - 1, -1, -1, dtype=np.int64))
-    first = ranks[idx[:, :n]] @ weights[per_word - n:]  # n * bits <= 48
+    first = ranks[_first_row_index(n)] @ weights[per_word - n:]  # n * bits <= 48
     idx = idx[first == first.min()]
     words = -(-flat.size // per_word)
     # uint8 digits keep the per-call arrays small (n=6: 30 KB, not 242 KB)
@@ -167,6 +177,15 @@ def _unpack_keys(keys, n: int) -> np.ndarray:
     return w + np.swapaxes(w, -1, -2)
 
 
+def _entry_positions(n: int) -> np.ndarray:
+    """pos[i, j] = pos[j, i]: the index of entry (min(i, j), max(i, j)) among
+    W's strict-upper entries, row-major (the key's digit order)."""
+    iu, ju = np.triu_indices(n, 1)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    return pos
+
+
 @functools.cache
 def _orbit_weights(n: int) -> np.ndarray:
     """table[e, p]: the weight of entry e of W's key in (P W P^T)'s key, so
@@ -175,8 +194,7 @@ def _orbit_weights(n: int) -> np.ndarray:
     to its own 3-bit field, and the fields never overlap."""
     shifts = _key_shifts(n)
     iu, ju = np.triu_indices(n, 1)
-    pos = np.zeros((n, n), dtype=np.intp)
-    pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
+    pos = _entry_positions(n)
     perms = _perms(n)
     src = pos[perms[:, iu], perms[:, ju]]  # entry e of P W P^T reads entry src[p, e] of W
     table = np.zeros((len(iu), len(perms)), dtype=np.uint64)
@@ -190,32 +208,70 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     as canonical forms sorted by their row-major flattening.
 
     Works on unordered sets of pattern rows, streamed in chunks by their
-    first flip word (n=6: 169,911 row sets in 31 chunks -> 126,651
-    column-distinct -> 18,903 raw keys -> 399 classes), then sweeps orbits:
-    the smallest live key's n! orbit is its 3-bit digits times the cached
-    ``_orbit_weights`` table, one matmul; sorted, its first key is the
-    class's canonical (minimum) key, and one in-order lookup among the raw
-    keys retires all of the class's raw keys: classes x n! work.  The
-    canonical keys are unpacked in one batch.
+    first flip word, down to the distinct raw W keys; the stage counts are
+
+      n=6: 169,911 row sets in 31 chunks -> 126,651 column-distinct
+           -> 18,903 raw keys -> 399 classes;
+      n=7: 67,945,521 row sets in 63 chunks -> 53,354,350 column-distinct
+           -> 3,824,307 raw keys -> 17,475 classes.
+
+    The raw keys are then bucketed by ``_row_histogram_hash``, which is
+    equal on a whole orbit (n=6: 390 buckets, n=7: 16,213), and each bucket
+    is swept on its own: a live key's n! orbit is its 3-bit digits times the
+    cached ``_orbit_weights`` table, one matmul; sorted, its first key is the
+    class's canonical (minimum) key, and the bucket's live keys found in it
+    retire: classes x n! work, each lookup among one bucket's keys.  The
+    canonical keys are unpacked in one batch.  Capped at KEY_MAX_N, where the
+    keys run out of bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > ENUM_MAX_N:
-        raise DimensionTooLargeError(f"class enumeration capped at n={ENUM_MAX_N}")
+    if n > KEY_MAX_N:
+        raise DimensionTooLargeError(
+            f"class enumeration capped at n={KEY_MAX_N} by its 64-bit W keys")
     keys = _raw_w_from_row_sets(n)
+    inv = _row_histogram_hash(keys, n)
+    order = np.argsort(inv)
+    keys, inv = keys[order], inv[order]
+    ends = np.flatnonzero(inv[1:] != inv[:-1]) + 1
     table, shifts = _orbit_weights(n), _key_shifts(n)
-    alive = np.ones(len(keys), dtype=bool)
+    last = table.shape[1] - 1
     canonical = []
-    cur = 0
-    while alive[cur]:  # keys[cur] is the smallest live key
-        orbit = ((keys[cur] >> shifts) & np.uint64(7)) @ table
-        orbit.sort()
-        canonical.append(orbit[0])
-        at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
-        alive[at[keys[at] == orbit]] = False
-        cur += int(alive[cur:].argmax())  # stays on the retired keys[cur] if none is left
+    for live in np.split(keys, ends):
+        while len(live):
+            orbit = ((live[0] >> shifts) & np.uint64(7)) @ table
+            orbit.sort()
+            canonical.append(orbit[0])
+            live = live[orbit[np.minimum(np.searchsorted(orbit, live), last)] != live]
     ws = _unpack_keys(np.sort(np.array(canonical, dtype=np.uint64)), n).tolist()
     return tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, w))) for w in ws)
+
+
+def _row_histogram_hash(keys: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 per key: a hash of the multiset of its W's row
+    value-histograms, so equal on the key's whole orbit (relabeling permutes
+    the rows and, within each row, the entries).
+
+    Row i's histogram is packed as the sum of 8^W_ij over j != i (n-1 <= 6
+    entries, so no 3-bit count overflows), mixed by two multiply-xorshift
+    rounds and summed over the rows, wrapping.  Two orbits may share a hash;
+    they then share a bucket, which costs time, not correctness.  One row at
+    a time, so the temporaries stay at a few arrays of len(keys).
+    """
+    shifts = _key_shifts(n)
+    pos = _entry_positions(n)
+    one, seven, three = np.uint64(1), np.uint64(7), np.uint64(3)
+    out = np.zeros(len(keys), dtype=np.uint64)
+    for i in range(n):
+        code = np.zeros(len(keys), dtype=np.uint64)
+        for s in shifts[np.delete(pos[i], i)]:  # the digits of row i's n-1 entries
+            code += one << (((keys >> s) & seven) * three)
+        code *= np.uint64(0x9E3779B97F4A7C15)
+        code ^= code >> np.uint64(29)
+        code *= np.uint64(0xBF58476D1CE4E5B9)
+        code ^= code >> np.uint64(32)
+        out += code
+    return out
 
 
 def _raw_w_from_row_sets(n: int) -> np.ndarray:
@@ -277,31 +333,37 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
     shift[np.triu_indices(n, 1)] = _key_shifts(n)
 
     tails = _tails(m)
-    tail_code = np.zeros(len(tails), dtype=np.uint64)
+    cols = [tails[:, j] for j in range(m - 1)]  # tail word j is row j+2; contiguous
+    # the shifts go on the 2^m-entry tables, not on the gathered columns
+    code = np.zeros(len(tails), dtype=np.uint64)
+    for j, t in enumerate(cols):
+        code |= (par << np.uint64(j + 1))[t]
+    tail_eq = _equal_pairs(code, n)
+    del code  # the generator outlives it
     tail_key = np.zeros(len(tails), dtype=np.uint64)
-    for j in range(m - 1):  # tail word j is row j+2
-        t = tails[:, j]
-        tail_code |= par[t] << np.uint64(j + 1)
-        tail_key |= pop[t] << shift[0, j + 2]
+    for j, t in enumerate(cols):
+        tail_key |= (pop << shift[0, j + 2])[t]
         for i in range(j):
-            tail_key |= pop[tails[:, i] ^ t] << shift[i + 2, j + 2]
-    tail_eq = _equal_pairs(tail_code, n)
+            tail_key |= (pop << shift[i + 2, j + 2])[cols[i] ^ t]
     a_eq = _equal_pairs(par, n)
+    a_key = pop << shift[0, 1]
+    a_pair = [pop << shift[1, j + 2] for j in range(m - 1)]
     # each tail's smallest word (2^m, past every a, for n=2's empty tail) rises
     # with the tail's index, so the tails above a start where it first exceeds a
     starts = np.searchsorted(tails.min(axis=1, initial=2 ** m), words[1:], side="right")
 
     for a, s in zip(range(1, 2 ** m), starts.tolist()):
         keep = np.flatnonzero((tail_eq[s:] & a_eq[a]) == 0) + s
-        key = tail_key[keep] | pop[a] << shift[0, 1]
-        for j in range(m - 1):
-            key |= pop[a ^ tails[keep, j]] << shift[1, j + 2]
+        key = tail_key[keep] | a_key[a]
+        for t, pair_key in zip(cols, a_pair):
+            key |= pair_key[a ^ t[keep]]
         yield key
 
 
 def _tails(m: int) -> np.ndarray:
     """Every (m-1)-subset of the words 1 .. 2^m - 1 as an increasing uint8
-    row, in lexicographic order (one empty row at m = 1).
+    row, in lexicographic order (one empty row at m = 1), column-major so
+    that each column is one contiguous array.
 
     Grown one word at a time: a row whose last word is l gets the children
     l+1 .. 2^m - 1, each row's children in increasing order, parents in
@@ -318,7 +380,7 @@ def _tails(m: int) -> np.ndarray:
         cols = [c[parent] for c in cols] + [last.astype(np.uint8)]
     if not cols:
         return np.zeros((1, 0), dtype=np.uint8)
-    return np.stack(cols, axis=1)
+    return np.stack(cols).T
 
 
 def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
@@ -335,8 +397,10 @@ def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
     low7 = np.uint64(0x7F7F7F7F7F7F7F7F)
     eq = np.zeros(codes.shape, dtype=np.uint64)
     for d in range(1, n):
+        pairs = np.uint64(sum(0x80 << 8 * k for k in range(n - d)))  # k + d < n
         y = codes ^ (codes >> np.uint64(8 * d))
         zero = ~(((y & low7) + low7) | y | low7)
-        pairs = np.uint64(sum(0x80 << 8 * k for k in range(n - d)))  # k + d < n
-        eq |= (zero & pairs) >> np.uint64(8 - d)
+        zero &= pairs  # in place: at n=7 each array here is 56 MB
+        zero >>= np.uint64(8 - d)
+        eq |= zero
     return eq

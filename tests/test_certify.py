@@ -1,6 +1,8 @@
-"""Closed-form bounds, entry-bound rules (against an entry-by-entry oracle),
-and dimension certificates."""
+"""Closed-form bounds, entry-bound rules (against an entry-by-entry oracle
+and the array form they replaced), and dimension certificates."""
 
+import collections
+import hashlib
 import json
 import math
 
@@ -39,15 +41,29 @@ def _entry_bounds_oracle(W):
     return tuple(bounds)
 
 
+def _entry_bounds_numpy(W):
+    """Oracle: the entry rules as array expressions on ``W.as_array()``, the
+    form the tuple code replaced, behind the same validation."""
+    result = dc.validate_sign_change_matrix(W)
+    if not result.ok:
+        raise InvalidWError("; ".join(result.violations))
+    arr = W.as_array()
+    row = np.where((arr <= 4).all(axis=1), (arr > 2).sum(axis=1) + 1.0, math.inf)
+    bound = np.minimum.outer(row, row)
+    bound[arr == 2] = 1.0
+    bound[arr <= 1] = 0.0
+    return tuple(map(tuple, bound.tolist()))
+
+
 @st.composite
 def valid_w(draw):
-    """A W that passes structural validation, n = 2..8: symmetric, zero
+    """A W that passes structural validation, n = 1..8: symmetric, zero
     diagonal, off-diagonal entries 0..n-2, plus a drawn matching of entry
     pairs raised to the cap n-1 (at most one per row and column)."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 8))
     w = np.zeros((n, n), dtype=int)
     iu, ju = np.triu_indices(n, 1)
-    upper = draw(st.lists(st.integers(0, n - 2), min_size=len(iu), max_size=len(iu)))
+    upper = draw(st.lists(st.integers(0, max(n - 2, 0)), min_size=len(iu), max_size=len(iu)))
     w[iu, ju] = upper
     order = draw(st.permutations(list(range(n))))
     for k in range(draw(st.integers(0, n // 2))):
@@ -55,6 +71,19 @@ def valid_w(draw):
         w[i, j] = n - 1
     w = w + w.T
     return SignChangeMatrix(n=n, w=tuple(map(tuple, w.tolist())), generic=draw(st.booleans()))
+
+
+@st.composite
+def perturbed_w(draw):
+    """A drawn valid W with one entry set to a drawn value in -1..n, mirrored
+    or not: valid or invalid in every way validation reports."""
+    W = draw(valid_w())
+    w = [list(r) for r in W.w]
+    i, j = draw(st.integers(0, W.n - 1)), draw(st.integers(0, W.n - 1))
+    w[i][j] = draw(st.integers(-1, W.n))
+    if draw(st.booleans()):
+        w[j][i] = w[i][j]
+    return SignChangeMatrix(n=W.n, w=tuple(map(tuple, w)), generic=W.generic)
 
 
 def _w(rows, generic=True):
@@ -146,10 +175,11 @@ class TestEntryBounds:
             assert (arr == arr.T).all()
             assert (np.diag(arr) == 0).all()
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_oracle_on_every_class(self, n):
         for W in dc.enumerate_w_classes(n):
-            assert dc.entry_bounds_from_w(W).bound == _entry_bounds_oracle(W)
+            bound = dc.entry_bounds_from_w(W).bound
+            assert bound == _entry_bounds_oracle(W) == _entry_bounds_numpy(W)
 
     # row 1 holds 1, 2, 3, 4 and 5; row 2's maximum is 4 (passes the <= 4
     # test); row 3's is 5 (fails it)
@@ -163,7 +193,21 @@ class TestEntryBounds:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_oracle_on_drawn_w(self, W):
         assert dc.validate_sign_change_matrix(W).ok
-        assert dc.entry_bounds_from_w(W).bound == _entry_bounds_oracle(W)
+        bound = dc.entry_bounds_from_w(W).bound
+        assert bound == _entry_bounds_oracle(W) == _entry_bounds_numpy(W)
+        assert all(type(v) is float for row in bound for v in row)
+
+    @given(perturbed_w())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_numpy_form_or_raises_alike(self, W):
+        try:
+            expected = _entry_bounds_numpy(W)
+        except InvalidWError as exc:
+            with pytest.raises(InvalidWError) as got:
+                dc.entry_bounds_from_w(W)
+            assert str(got.value) == str(exc)
+        else:
+            assert dc.entry_bounds_from_w(W).bound == expected
 
     @pytest.mark.parametrize("top, expected", [(4, 3.0), (5, math.inf)],
                              ids=["row-max-4", "row-max-5"])
@@ -229,7 +273,7 @@ class TestCertificates:
             dc.certify_dimension(1)
         from dncrit.enumeration import DimensionTooLargeError
         with pytest.raises(DimensionTooLargeError):
-            dc.certify_dimension(7)
+            dc.certify_dimension(8)
 
 
 @pytest.mark.slow
@@ -245,3 +289,19 @@ class TestDimensionSix:
         for cert in report.classes:
             has_five = any(v >= 5 for row in cert.w.w for v in row)
             assert cert.certified == (not has_five)
+
+
+@pytest.mark.slow
+class TestDimensionSeven:
+    def test_n7_certificate(self):
+        # one run of the whole n=7 certificate (about 10-15 s)
+        report = dc.certify_dimension(7)
+        flats = np.array([c.w.w for c in report.classes], dtype=np.int8)
+        assert report.num_classes == len(flats) == 17475
+        assert hashlib.sha256(flats.tobytes()).hexdigest() == (
+            "45a9e7aea67ce23c0b8e6f527a3a0106f66a10bd624e5a4c6780b21282f26efa")
+        assert report.num_uncertified == 16611
+        maxima = collections.Counter(c.max_bound for c in report.classes if c.certified)
+        assert sorted(maxima.items()) == list(zip(
+            range(1, 8), [1, 3, 11, 73, 359, 359, 58]))
+        assert "m(7) <= 13" in report.conclusion

@@ -4,8 +4,9 @@ cross-validation of the row-set reduction against canonicalizing every
 pattern's W), the flip-word lemma the row-set reduction rests on, the
 chunked raw-key stage against a monolithic oracle (and its tails and
 column-pair masks against the loops they replaced), the packed W keys and
-key-level orbits the enumeration sweeps over, the count each stage keeps,
-and pins of the n=5 and n=6 class lists and of their per-entry bounds."""
+key-level orbits the enumeration sweeps over, the bucketed sweep against the
+whole-key sweep it replaced, the count each stage keeps, and pins of the n=5
+and n=6 class lists and of their per-entry bounds."""
 
 import hashlib
 import itertools
@@ -27,6 +28,7 @@ from dncrit.enumeration import (
     _orbit_weights,
     _raw_key_chunks,
     _raw_w_from_row_sets,
+    _row_histogram_hash,
     _tails,
     _unpack_keys,
 )
@@ -87,6 +89,24 @@ def _orbit_gather(key, n):
     3-bit field by field from W's key and ORed together."""
     shifts = _key_shifts(n)
     return np.bitwise_or.reduce(((key >> shifts) & 7)[_orbit_sources(n)] << shifts, axis=1)
+
+
+def _sweep_oracle(keys, n):
+    """Oracle: the sweep before bucketing, over all of the sorted raw keys at
+    once: the smallest live key's sorted orbit retires the raw keys it finds
+    among all of them.  Returns the canonical keys, sorted."""
+    table, shifts = _orbit_weights(n), _key_shifts(n)
+    alive = np.ones(len(keys), dtype=bool)
+    canonical = []
+    cur = 0
+    while alive[cur]:  # keys[cur] is the smallest live key
+        orbit = ((keys[cur] >> shifts) & np.uint64(7)) @ table
+        orbit.sort()
+        canonical.append(orbit[0])
+        at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
+        alive[at[keys[at] == orbit]] = False
+        cur += int(alive[cur:].argmax())  # stays on the retired keys[cur] if none is left
+    return np.sort(np.array(canonical, dtype=np.uint64))
 
 
 def _tails_oracle(n):
@@ -471,6 +491,26 @@ class TestPackedKeys:
         assert got.dtype == np.uint64
         assert got.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bucketed_sweep_matches_the_whole_key_sweep(self, n):
+        keys = _raw_w_from_row_sets(n)
+        got = _pack_keys(np.array([W.w for W in dc.enumerate_w_classes(n)], dtype=np.int8))
+        assert got.tolist() == _sweep_oracle(keys, n).tolist()
+        if n == 6:  # the docstring's bucket count: the buckets nearly split the classes
+            assert len(np.unique(_row_histogram_hash(keys, n))) == 390
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, 7), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    @example((7, [7] * 21))
+    @example((7, list(range(7)) * 3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_row_histogram_hash_is_constant_on_the_orbit(self, drawn):
+        n, upper = drawn
+        key = _pack_keys(_symmetric(n, upper)[None])[0]
+        orbit = ((key >> _key_shifts(n)) & np.uint64(7)) @ _orbit_weights(n)
+        hashes = _row_histogram_hash(orbit, n)
+        assert (hashes == hashes[0]).all()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_orbit_weights_table(self, n):
         table = _orbit_weights(n)
@@ -533,7 +573,7 @@ class TestClassSets:
 
     def test_cap(self):
         with pytest.raises(DimensionTooLargeError):
-            dc.enumerate_w_classes(7)
+            dc.enumerate_w_classes(8)
 
     @pytest.mark.parametrize("n, digest", [
         (5, "b5b31f1fc603ae80cf080ce056fa7e19468fe762e0a1c8d892c7891ef32f2260"),
