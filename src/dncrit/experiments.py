@@ -240,21 +240,6 @@ def three_eigenvalue_matrix(kind: str, params=None) -> SymMatrix:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def random_three_eigenvalue(n: int, seed: int) -> SymMatrix:
-    """Random custom three-eigenvalue construction: two disjointly supported
-    nonnegative vectors (splitting the index set) plus a positive shift."""
-    if n < 2:
-        raise DimensionTooSmallError("need n >= 2 for two disjoint supports")
-    rng = np.random.default_rng([seed, 0])
-    cut = int(rng.integers(1, n))
-    v1 = np.zeros(n)
-    v2 = np.zeros(n)
-    v1[:cut] = rng.uniform(0.2, 1.0, size=cut)
-    v2[cut:] = rng.uniform(0.2, 1.0, size=n - cut)
-    shift = float(rng.uniform(0.1, 2.0))
-    return three_eigenvalue_matrix("custom", ([v1, v2], shift))
-
-
 def check_three_eigenvalue_theorem(A: SymMatrix, scan: ScanConfig | None = None) -> WitnessReport:
     """Verify that A^t stays entry-wise nonnegative on the grid t in [1, t_max]
     for A with at most three distinct eigenvalues."""
@@ -410,6 +395,8 @@ def search_critical_exponent(n: int, trials: int, seed: int,
     from .enumeration import DimensionTooLargeError
     if n > 6:
         raise DimensionTooLargeError("search capped at n=6")
+    if n < 2:
+        raise DimensionTooSmallError(f"search needs n >= 2, got n={n}")
     if family not in SEARCH_FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick from {SEARCH_FAMILIES}")
     if trials < 1:

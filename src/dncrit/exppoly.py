@@ -2,6 +2,9 @@
 
 For a symmetric PSD matrix with spectral data (lambda_k, x_k), the (i, j)
 entry of A^t is f(t) = sum_k c_k lambda_k^t with c_k = x_k[i] * x_k[j].
+The terms of one eigenvalue group merge into one; the merged coefficients
+of every entry are rows of the decomposition's cached (n, n, K) tensor
+``SpectralDecomposition.entry_coefficients``, built once per decomposition.
 This module represents such functions, evaluates them on grids, bounds their
 root counts via coefficient sign changes, and locates intervals where they
 are negative.
@@ -112,29 +115,17 @@ class NegativeInterval:
 
 def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
                   zero_tol: float = COEFF_ZERO_TOL) -> ExpPoly:
-    """Exponential polynomial of entry (i, j), 0-based, with the terms of
-    ``_entry_terms``; coefficients at or below zero_tol * max|c| stay in the
-    term list but are excluded from sign counting via sign_cut."""
+    """Exponential polynomial of entry (i, j), 0-based: the decomposition's
+    ``entry_bases`` and row [i, j] of its ``entry_coefficients``.
+    Coefficients at or below zero_tol * max|c| stay in the term list but are
+    excluded from sign counting via sign_cut."""
     n = dec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    bases, coeffs, singular = _entry_terms(dec, i, j)
-    cmax = float(np.abs(coeffs).max(initial=0.0))
-    return ExpPoly(bases=tuple(bases.tolist()), coefficients=tuple(coeffs.tolist()),
-                   singular=singular, sign_cut=zero_tol * cmax)
-
-
-def _entry_terms(dec: SpectralDecomposition, i, j) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Bases, coefficients (one row per entry when i, j are index arrays)
-    and singular flag: the coefficients of a group of ``dec.group_starts``
-    sum onto its first clamped eigenvalue, and a zero base is dropped."""
-    starts = dec.group_starts
-    bases = dec.clamped_eigenvalues[starts]
-    coeffs = np.add.reduceat(dec.eigenvectors[i] * dec.eigenvectors[j], starts, axis=-1)
-    singular = bool(bases[-1] == 0.0)
-    if singular:
-        bases, coeffs = bases[:-1], coeffs[..., :-1]
-    return bases, coeffs, singular
+    return ExpPoly(bases=tuple(dec.entry_bases.tolist()),
+                   coefficients=tuple(dec.entry_coefficients[i, j].tolist()),
+                   singular=dec.singular,
+                   sign_cut=zero_tol * float(dec.entry_coefficient_max[i, j]))
 
 
 def eval_exppoly(f: ExpPoly, t):
@@ -177,19 +168,26 @@ def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
 def descartes_bound(f: ExpPoly) -> int:
     """Sign changes in the coefficient sequence, bases in decreasing order,
     zeros (and below-cut coefficients) skipped.  Bounds the number of real
-    roots of f."""
-    return sign_changes(f.significant_coefficients())
+    roots of f.
 
-
-def sign_changes(seq) -> int:
-    """Sign alternations in a real sequence, zeros skipped."""
+    One pass over the coefficients, with the cut applied inline: a
+    coefficient with |c| <= sign_cut, a zero or a NaN has no sign.
+    """
+    cut = f.sign_cut
     count = 0
     prev = 0
-    for v in seq:
-        s = 1 if v > 0 else (-1 if v < 0 else 0)
-        if s == 0:
+    for c in f.coefficients:
+        if c > 0.0:
+            if c <= cut:
+                continue
+            s = 1
+        elif c < 0.0:
+            if -c <= cut:
+                continue
+            s = -1
+        else:
             continue
-        if prev != 0 and s != prev:
+        if prev and s != prev:
             count += 1
         prev = s
     return count
@@ -290,16 +288,18 @@ def _grid_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
     """``matrix_critical_exponent`` on a decomposition the caller holds.
 
-    The entries i <= j share one (K, T) power table of the grid, so their
-    grid values are one ``_grid_values`` product.  Only the last grid column
-    with a negative value matters: upper ends of runs that stop earlier lie
-    below it, so just the entries negative in that column are refined, and a
-    run reaching the last grid point ends at t_max.
+    The entries i <= j, rows of the decomposition's coefficient tensor,
+    share one (K, T) power table of the grid, so their grid values are one
+    ``_grid_values`` product.  Only the last grid column with a negative
+    value matters: upper ends of runs that stop earlier lie below it, so
+    just the entries negative in that column are refined, and a run
+    reaching the last grid point ends at t_max.
     """
     _require_window_reaches_zero(scan)
     ts = scan.grid()
-    bases, coeffs, singular = _entry_terms(dec, *np.triu_indices(dec.n))
-    if singular and ts[0] < 0.0:
+    bases = dec.entry_bases
+    coeffs = dec.entry_coefficients[np.triu_indices(dec.n)]
+    if dec.singular and ts[0] < 0.0:
         raise ZeroToNegativePowerError("entry has a dropped zero base; t < 0 undefined")
     table = np.power(bases[:, None], ts[None, :])
     neg = _grid_values(coeffs, table) < -scan.entry_tol

@@ -7,9 +7,9 @@ spectral sense, sum(lambda_k^t x_k x_k^T), which is the object all other
 modules analyze.
 
 Everything here is immutable and side-effect free; values can be shared
-freely across threads.  A decomposition's eigenvalue groups and clamped
-eigenvalues are filled in on first use, from its immutable arrays, so two
-threads racing on them compute the same value.
+freely across threads.  A decomposition's eigenvalue groups, clamped
+eigenvalues and entry coefficients are filled in on first use, from its
+immutable arrays, so two threads racing on them compute the same value.
 """
 
 from __future__ import annotations
@@ -113,9 +113,12 @@ class SpectralDecomposition:
 
     Column signs are canonical: the first coordinate with magnitude above
     SIGN_TOL is positive.  The eigenvalue policy every module reads lives
-    here, each part computed at most once: ``group_starts`` says which
-    eigenvalues count as equal and ``clamped_eigenvalues`` which count as
-    zero.
+    here, each part computed at most once and read-only: ``group_starts``
+    says which eigenvalues count as equal and ``clamped_eigenvalues`` which
+    count as zero.  The entry polynomials f_ij(t) = sum_k c_ijk b_k^t follow
+    from it: ``entry_bases`` are the b_k, ``entry_coefficients`` the c_ijk of
+    every entry at once, ``entry_coefficient_max`` their largest magnitude
+    per entry, and ``singular`` says that a zero base was dropped.
     """
 
     eigenvalues: np.ndarray
@@ -140,6 +143,40 @@ class SpectralDecomposition:
         lam = clamp_psd(self.eigenvalues)
         lam.setflags(write=False)
         return lam
+
+    @cached_property
+    def entry_bases(self) -> np.ndarray:
+        """The first clamped eigenvalue of each group, strictly decreasing;
+        a zero base is dropped (see ``singular``)."""
+        bases = self.clamped_eigenvalues[self.group_starts]
+        if bases[-1] == 0.0:
+            bases = bases[:-1]
+        bases.setflags(write=False)
+        return bases
+
+    @property
+    def singular(self) -> bool:
+        """Whether a zero base, and its coefficients, were dropped: the entry
+        polynomials then only represent A^t for t > 0."""
+        return self.entry_bases.size < self.group_starts.size
+
+    @cached_property
+    def entry_coefficients(self) -> np.ndarray:
+        """(n, n, K) tensor whose [i, j] row holds entry (i, j)'s
+        coefficients: the products u_ik u_jk summed over each group, one per
+        base of ``entry_bases``."""
+        u = self.eigenvectors
+        coeffs = np.add.reduceat(u[:, None, :] * u[None, :, :], self.group_starts, axis=-1)
+        coeffs = coeffs[..., :self.entry_bases.size]
+        coeffs.setflags(write=False)
+        return coeffs
+
+    @cached_property
+    def entry_coefficient_max(self) -> np.ndarray:
+        """(n, n) largest |c| of each entry's coefficients, 0 without terms."""
+        cmax = np.abs(self.entry_coefficients).max(axis=-1, initial=0.0)
+        cmax.setflags(write=False)
+        return cmax
 
 
 def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymMatrix:

@@ -6,7 +6,9 @@ skipped).  It bounds the number of real roots of that entry, hence how often
 the entry can turn negative as t grows.  The coefficients u_ik u_jk of entry
 (j, i) are those of (i, j), and a diagonal entry's are sums of squares, so
 W is symmetric with a zero diagonal and only its n(n-1)/2 pairs i < j are
-counted.
+counted.  Each pair's coefficients are a row of the decomposition's
+coefficient tensor, built once for all pairs, and ``descartes_bound``
+counts their signs in one pass.
 
 Structural facts used downstream: the diagonal is zero; each row and column
 holds at most one value as large as n-1 and nothing larger; off-diagonal

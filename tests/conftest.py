@@ -19,11 +19,26 @@ from dncrit.exppoly import (
     entry_exppoly,
     eval_exppoly,
     grid_entry_values,
-    sign_changes,
 )
 from dncrit.signchange import component_bound
 
 EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
+
+
+def sign_changes(seq) -> int:
+    """Sign alternations in a real sequence, zeros (and NaNs) skipped: the
+    oracle ``descartes_bound`` counts against, on the coefficients with
+    the below-cut ones zeroed."""
+    count = 0
+    prev = 0
+    for v in seq:
+        s = 1 if v > 0 else (-1 if v < 0 else 0)
+        if s == 0:
+            continue
+        if prev != 0 and s != prev:
+            count += 1
+        prev = s
+    return count
 
 
 def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:
@@ -217,6 +232,21 @@ def generic_dn(n: int, seed: int) -> dc.SymMatrix:
         if W.generic and dc.check_dn(A).is_invertible:
             return A
     raise RuntimeError(f"no generic draw found for n={n}, seed={seed}")
+
+
+def random_three_eigenvalue(n: int, seed: int) -> dc.SymMatrix:
+    """Random custom three-eigenvalue construction: two disjointly supported
+    nonnegative vectors (splitting the index set) plus a positive shift."""
+    if n < 2:
+        raise dc.experiments.DimensionTooSmallError("need n >= 2 for two disjoint supports")
+    rng = np.random.default_rng([seed, 0])
+    cut = int(rng.integers(1, n))
+    v1 = np.zeros(n)
+    v2 = np.zeros(n)
+    v1[:cut] = rng.uniform(0.2, 1.0, size=cut)
+    v2[cut:] = rng.uniform(0.2, 1.0, size=n - cut)
+    shift = float(rng.uniform(0.1, 2.0))
+    return dc.three_eigenvalue_matrix("custom", ([v1, v2], shift))
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,9 @@ import pytest
 
 import conftest
 import dncrit as dc
-from conftest import generic_dn
+from conftest import generic_dn, random_three_eigenvalue
 from dncrit.enumeration import canonicalize_w
-from dncrit.experiments import random_three_eigenvalue, random_tridiagonal_dn
+from dncrit.experiments import random_tridiagonal_dn
 from dncrit.exppoly import ScanConfig, entry_critical_exponent, entry_exppoly
 from dncrit.matcore import RECON_TOL, ORTHO_TOL
 

@@ -307,6 +307,12 @@ class TestSearch:
         assert main(["search", "--n", "3", "--trials", "1", "--seed", "0",
                      "--family", "dense"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_small_n(self, n, capsys):
+        assert main(["search", "--n", n, "--trials", "3", "--seed", "0",
+                     "--family", "gram"]) == 2
+        assert f"error: search needs n >= 2, got n={n}" in capsys.readouterr().err
+
     # sha256 of the --out JSON, computed before the scan moved to array run
     # detection and one power table per matrix; the scan must not move a bit
     @pytest.mark.parametrize("n, digest", [

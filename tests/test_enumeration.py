@@ -237,7 +237,7 @@ class TestPatternToW:
             assert all(W[i, i] == 0 for i in range(4))
 
     def test_matches_descartes_on_products(self):
-        from dncrit.exppoly import sign_changes
+        from conftest import sign_changes
         for p in dc.enumerate_sign_patterns(3):
             W = dc.pattern_to_w(p)
             for i in range(3):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import dncrit as dc
+from conftest import random_three_eigenvalue
 from dncrit.experiments import (
     BadRankError,
     DimensionTooSmallError,
     RepeatedTopEigenvalueError,
     TooManyEigenvaluesError,
-    random_three_eigenvalue,
     random_tridiagonal_dn,
 )
 from dncrit.exppoly import ScanConfig
@@ -325,6 +325,16 @@ class TestSearch:
             dc.search_critical_exponent(4, trials=0, seed=0)
         with pytest.raises(ValueError):
             dc.search_critical_exponent(4, trials=1, seed=0, family="dense")
+
+    @pytest.mark.parametrize("family", dc.experiments.SEARCH_FAMILIES)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_small_rejected_before_any_trial(self, n, family, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(dc.experiments, "empirical_critical_exponent", no_trial)
+        with pytest.raises(DimensionTooSmallError, match=f"n >= 2, got n={n}"):
+            dc.search_critical_exponent(n, trials=5, seed=0, family=family)
 
     def test_json_round_trip(self):
         out = dc.search_critical_exponent(3, trials=4, seed=3, family="gram")

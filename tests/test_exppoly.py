@@ -13,7 +13,9 @@ from conftest import (
     grid_sign_alternations,
     matrix_critical_exponent_oracle,
     negative_intervals_oracle,
+    random_three_eigenvalue,
     scan_corpus,
+    sign_changes,
 )
 from dncrit.experiments import TooManyEigenvaluesError
 from dncrit.exppoly import (
@@ -21,10 +23,8 @@ from dncrit.exppoly import (
     ExpPoly,
     NegativeInterval,
     ScanConfig,
-    _entry_terms,
     _grid_values,
     grid_entry_values,
-    sign_changes,
 )
 from dncrit.matcore import (
     MERGE_TOL,
@@ -205,7 +205,7 @@ class TestGridValues:
             dec = dc.spectral_decompose(A)
             ts = ScanConfig.for_matrix(A).grid()
             iu, ju = np.triu_indices(A.n)
-            bases, coeffs, _ = _entry_terms(dec, iu, ju)
+            bases, coeffs = dec.entry_bases, dec.entry_coefficients[iu, ju]
             got = _grid_values(coeffs, np.power(bases[:, None], ts[None, :]))
             want = [dc.eval_exppoly(dc.entry_exppoly(dec, i, j), ts) for i, j in zip(iu, ju)]
             assert _same_bits(got, np.array(want).reshape(got.shape))
@@ -452,11 +452,150 @@ class TestEigenvaluePolicy:
             dc.check_three_eigenvalue_theorem(A)
 
     def test_computed_once_and_read_only(self):
-        dec = dc.spectral_decompose(tridiag(4))
-        assert dec.group_starts is dec.group_starts
-        assert dec.clamped_eigenvalues is dec.clamped_eigenvalues
-        assert not dec.group_starts.flags.writeable
-        assert not dec.clamped_eigenvalues.flags.writeable
+        for A, singular in ((tridiag(4), False), (sym(np.ones((3, 3))), True)):
+            dec = dc.spectral_decompose(A)
+            for name in ("group_starts", "clamped_eigenvalues", "entry_bases",
+                         "entry_coefficients", "entry_coefficient_max"):
+                arr = getattr(dec, name)
+                assert arr is getattr(dec, name), name
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+            k = dec.entry_bases.size
+            assert dec.entry_coefficients.shape == (A.n, A.n, k)
+            assert dec.entry_coefficient_max.shape == (A.n, A.n)
+            assert dec.singular is singular
+            assert k == dec.group_starts.size - singular
+
+
+def _entry_terms_oracle(dec, i, j):
+    """The per-entry ``_entry_terms`` the coefficient tensor replaced: bases,
+    coefficients (one row per entry when i, j are index arrays) and the
+    singular flag, from a fresh reduceat of u_i * u_j over the groups."""
+    starts = dec.group_starts
+    bases = dec.clamped_eigenvalues[starts]
+    coeffs = np.add.reduceat(dec.eigenvectors[i] * dec.eigenvectors[j], starts, axis=-1)
+    singular = bool(bases[-1] == 0.0)
+    if singular:
+        bases, coeffs = bases[:-1], coeffs[..., :-1]
+    return bases, coeffs, singular
+
+
+def _entry_exppoly_terms_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
+    """``entry_exppoly`` as it was before the tensor: one
+    ``_entry_terms_oracle`` call and one abs-max per entry."""
+    bases, coeffs, singular = _entry_terms_oracle(dec, i, j)
+    cmax = float(np.abs(coeffs).max(initial=0.0))
+    return ExpPoly(bases=tuple(bases.tolist()), coefficients=tuple(coeffs.tolist()),
+                   singular=singular, sign_cut=zero_tol * cmax)
+
+
+def _same_exppoly(f, g):
+    """Equal ExpPoly objects whose floats, sign_cut included, agree bit for bit."""
+    return (f == g and _same_bits(f.bases, g.bases)
+            and _same_bits(f.coefficients, g.coefficients)
+            and _same_bits([f.sign_cut], [g.sign_cut]))
+
+
+ZERO_TOLS = (COEFF_ZERO_TOL, 1e-3, 0.0)
+
+
+def _check_tensor_against_oracle(dec, zero_tol):
+    """Every entry's ExpPoly and Descartes count, and the i <= j rows the
+    scan reads, as the per-entry construction gives them."""
+    n = dec.n
+    for i in range(n):
+        for j in range(n):
+            f = dc.entry_exppoly(dec, i, j, zero_tol)
+            assert _same_exppoly(f, _entry_exppoly_terms_oracle(dec, i, j, zero_tol)), (i, j)
+            assert dc.descartes_bound(f) == sign_changes(f.significant_coefficients())
+    iu, ju = np.triu_indices(n)
+    bases, coeffs, singular = _entry_terms_oracle(dec, iu, ju)
+    assert _same_bits(dec.entry_bases, bases) and dec.singular == singular
+    assert _same_bits(dec.entry_coefficients[iu, ju], coeffs)
+
+
+@st.composite
+def _policy_decompositions(draw):
+    """n = 1..8: Gram matrices of any rank, tridiagonal DN matrices, and
+    spectra with repeated values (zero among them) in a random basis."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gram", "tridiagonal", "repeated"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "gram" or n == 1:
+        A = dc.random_dn(n, draw(st.integers(1, n)), seed)
+    elif kind == "tridiagonal":
+        A = dc.random_tridiagonal_dn(n, rng)
+    else:
+        lam = np.sort(rng.choice([0.0, 0.5, 2.0, 3.0], size=n))[::-1]
+        A = _with_spectrum(lam, seed)
+    return dc.spectral_decompose(A)
+
+
+class TestCoefficientTensor:
+    """entry_exppoly and the scan read the decomposition's coefficient tensor
+    and give exactly what the per-entry construction gave."""
+
+    def test_matches_per_entry_terms_on_policy_corpus(self):
+        singular = repeated = 0
+        for A in _policy_corpus():
+            dec = dc.spectral_decompose(A)
+            singular += dec.singular
+            repeated += dec.group_starts.size < A.n
+            for zero_tol in ZERO_TOLS:
+                _check_tensor_against_oracle(dec, zero_tol)
+        assert singular >= 40 and repeated >= 40
+
+    @given(_policy_decompositions(), st.sampled_from(ZERO_TOLS))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_per_entry_terms_drawn(self, dec, zero_tol):
+        _check_tensor_against_oracle(dec, zero_tol)
+
+    def test_edge_matrices(self):
+        for A in (sym([[2.0]]), sym([[0.0]]), sym(np.zeros((3, 3))), sym(np.eye(5)),
+                  sym(np.eye(4) + np.ones((4, 4))), sym(np.ones((6, 6)))):
+            dec = dc.spectral_decompose(A)
+            for zero_tol in ZERO_TOLS:
+                _check_tensor_against_oracle(dec, zero_tol)
+
+
+# coefficients that sit exactly at a cut below, or carry no sign
+_SIGN_EDGES = (0.0, -0.0, float("nan"), 1e-3, -1e-3, 2.5, -2.5, 5e-324, -5e-324,
+               float("inf"), float("-inf"))
+
+
+def _cut_poly(coeffs, cut):
+    """ExpPoly with the given coefficients on decreasing bases and sign_cut."""
+    return ExpPoly(bases=tuple(float(len(coeffs) - k) for k in range(len(coeffs))),
+                   coefficients=tuple(coeffs), sign_cut=cut)
+
+
+class TestOnePassDescartes:
+    """descartes_bound counts what sign_changes counts on the significant
+    coefficients."""
+
+    @pytest.mark.parametrize("coeffs, cut, expected", [
+        ((1.0, -1e-3, 1.0), 1e-3, 0),
+        ((1.0, -np.nextafter(1e-3, 1.0), 1.0), 1e-3, 2),
+        ((1e-3, -1.0, 1e-3), 1e-3, 0),
+        ((-0.0, 1.0, 0.0, -1.0, -0.0), 0.0, 1),
+        ((1.0, float("nan"), -1.0), 0.0, 1),
+        ((1.0, -1.0), float("nan"), 1),
+        ((float("inf"), float("-inf")), 1e300, 1),
+        ((), 0.0, 0),
+    ])
+    def test_hand_cases(self, coeffs, cut, expected):
+        f = _cut_poly(coeffs, cut)
+        assert dc.descartes_bound(f) == expected
+        assert sign_changes(f.significant_coefficients()) == expected
+
+    @given(st.lists(st.one_of(st.sampled_from(_SIGN_EDGES), st.floats()), max_size=8),
+           st.sampled_from([0.0, 5e-324, 1e-3, 2.5, -1.0, float("nan"), float("inf")]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_sign_changes_of_significant_coefficients(self, coeffs, cut):
+        f = _cut_poly(coeffs, cut)
+        assert dc.descartes_bound(f) == sign_changes(f.significant_coefficients())
 
 
 class TestScanOracle:
@@ -499,7 +638,7 @@ class TestScanOracle:
     def test_witness_reports_match_oracle(self, monkeypatch):
         reports = [dc.tridiagonal_witness(n, seed) for n in range(3, 9) for seed in range(4)]
         cases = [dc.three_eigenvalue_matrix("cycle4"), dc.three_eigenvalue_matrix("cycle5"),
-                 dc.experiments.random_three_eigenvalue(6, 1)]
+                 random_three_eigenvalue(6, 1)]
         checks = [dc.check_three_eigenvalue_theorem(A) for A in cases]
         monkeypatch.setattr(dc.experiments, "negative_intervals", negative_intervals_oracle)
         monkeypatch.setattr(dc.experiments, "_matrix_critical_exponent",
