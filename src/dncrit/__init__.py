@@ -43,7 +43,6 @@ from .signchange import (
 from .enumeration import (
     SignPattern,
     enumerate_sign_patterns,
-    pattern_to_w,
     canonicalize_w,
     enumerate_w_classes,
 )
@@ -84,8 +83,8 @@ __all__ = [
     "entry_critical_exponent", "matrix_critical_exponent",
     "SignChangeMatrix", "ValidationResult", "sign_change_matrix",
     "validate_sign_change_matrix", "component_bound",
-    "SignPattern", "enumerate_sign_patterns", "pattern_to_w",
-    "canonicalize_w", "enumerate_w_classes",
+    "SignPattern", "enumerate_sign_patterns", "canonicalize_w",
+    "enumerate_w_classes",
     "known_classes", "compare_with_reference",
     "EntryBoundMatrix", "CertificateReport", "crude_bound", "lower_bound",
     "k_of_n", "entry_bounds_from_w", "certify_dimension", "UNBOUNDED",

@@ -27,13 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import KEY_MAX_N, DimensionTooLargeError, enumerate_w_classes
-from .signchange import SignChangeMatrix, validate_sign_change_matrix
+from .signchange import InvalidWError, SignChangeMatrix, validate_sign_change_matrix
 
 UNBOUNDED = math.inf
-
-
-class InvalidWError(ValueError):
-    """W fails structural validation, so the entry rules do not apply."""
 
 
 def k_of_n(n: int) -> int:

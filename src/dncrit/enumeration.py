@@ -8,6 +8,12 @@ the first column is all + (Perron), the first row is normalized to all +
 pattern is actually realizable by an orthogonal matrix is deliberately NOT
 checked, so the class list is a provable superset of the W matrices of
 generic DN matrices -- which is the direction certificates need.
+
+A W with entries 0..7 and n <= KEY_MAX_N packs into one uint64 key whose
+order is that of its row-major flattening (``_key_shifts``), and the
+canonical form of its class is the relabeling with the smallest key.  The
+class enumeration and ``canonicalize_w`` both find it as the minimum of one
+matmul against the cached ``_orbit_weights`` table.
 """
 
 from __future__ import annotations
@@ -20,10 +26,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .signchange import SignChangeMatrix
+from .signchange import InvalidWError, SignChangeMatrix
 
 ENUM_MAX_N = 6  # sign patterns one by one: 15.2M at n=6, 3.8e10 at n=7
-CANON_MAX_N = 8
 KEY_MAX_N = 7  # 3 bits per strict-upper entry of W: 63 bits at n=7, 84 at n=8
 
 
@@ -72,89 +77,49 @@ def _count_sign_patterns(n: int) -> int:
     return sum(len(chunk) for chunk in _raw_key_chunks(n)) * math.factorial(n - 1)
 
 
-def pattern_to_w(p: SignPattern) -> SignChangeMatrix:
-    """W[i][j] = sign changes of (s_i1 s_j1, ..., s_in s_jn)."""
-    n = p.n
-    s = p.s
-    w = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row_i = s[i]
-        for j in range(i + 1, n):
-            row_j = s[j]
-            prev = row_i[0] * row_j[0]
-            changes = 0
-            for k in range(1, n):
-                cur = row_i[k] * row_j[k]
-                if cur != prev:
-                    changes += 1
-                    prev = cur
-            w[i][j] = w[j][i] = changes
-    return SignChangeMatrix(n=n, w=tuple(tuple(r) for r in w), generic=True)
-
-
 @functools.cache
 def _perms(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
 def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
-    """Lexicographically smallest row-major flattening of P W P^T over all
-    permutations P, found among all n! of them; idempotent."""
-    w = _canonical_flat(W.as_array()).reshape(W.n, W.n).tolist()
-    return SignChangeMatrix(n=W.n, w=tuple(map(tuple, w)), generic=W.generic)
+    """The canonical form of W's class: P W P^T for the relabeling P whose
+    packed key (see ``_key_shifts``) is smallest, i.e. the smallest
+    row-major flattening over all n! relabelings; idempotent.
 
-
-@functools.cache
-def _flat_perm_index(n: int) -> np.ndarray:
-    """idx[p, e]: the entry of W.ravel() that entry e of (P W P^T).ravel()
-    reads (uint8: n*n <= 64 up to CANON_MAX_N)."""
-    perms = _perms(n)
-    idx = (perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n)
-    idx = idx.astype(np.uint8)
-    idx.setflags(write=False)  # one cached array serves every caller
-    return idx
-
-
-@functools.cache
-def _first_row_index(n: int) -> np.ndarray:
-    """The first n columns of ``_flat_perm_index(n)`` (each relabeling's
-    first row) as one contiguous intp array: a gather through the uint8
-    table converts its indices to intp on every call."""
-    idx = np.ascontiguousarray(_flat_perm_index(n)[:, :n], dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
-
-
-def _canonical_flat(arr: np.ndarray) -> np.ndarray:
-    """The smallest row-major flattening of P arr P^T over all permutations P.
-
-    Each entry is replaced by its dense rank among arr's distinct values,
-    which orders the variants as the values do, for any integer matrix,
-    symmetric or not.  A variant's first row is the prefix of its
-    flattening, so the n first-row ranks of every variant are packed into
-    one int64 word and only the variants with the smallest word go on.  Each
-    of those has its ranks packed ``63 // bits`` to an int64 word, first rank
-    on top, and one lexsort over the few words (two at n=6 with W entries
-    0..5, in place of 36 entries) finds the smallest.
+    W's strict-upper digits times the cached ``_orbit_weights`` table give
+    the keys of the whole orbit in one matmul, the same product the class
+    sweep of ``enumerate_w_classes`` takes, and the winning permutation p
+    is applied to W directly: entry (i, j) is W[p[i]][p[j]].  W must be a
+    key: symmetric, zero diagonal, integer entries 0..7 and n <= KEY_MAX_N,
+    as every W of a decomposition, of a class list or of the reference is.
     """
-    n = arr.shape[0]
-    if n > CANON_MAX_N:
-        raise DimensionTooLargeError(f"canonicalization capped at n={CANON_MAX_N}")
-    flat = arr.ravel()
-    idx = _flat_perm_index(n)
-    values = _dedupe(flat.copy())
-    ranks = np.searchsorted(values, flat).astype(np.uint8)  # n*n <= 64 values
-    bits = max(1, (len(values) - 1).bit_length())
-    per_word = 63 // bits
-    weights = np.left_shift(1, bits * np.arange(per_word - 1, -1, -1, dtype=np.int64))
-    first = ranks[_first_row_index(n)] @ weights[per_word - n:]  # n * bits <= 48
-    idx = idx[first == first.min()]
-    words = -(-flat.size // per_word)
-    # uint8 digits keep the per-call arrays small (n=6: 30 KB, not 242 KB)
-    digits = np.zeros((len(idx), words * per_word), dtype=np.uint8)  # zero-padded tail
-    np.take(ranks, idx, out=digits[:, :flat.size], mode="clip")
-    packed = digits.reshape(len(idx), words, per_word) @ weights
-    return flat[idx[np.lexsort(packed.T[::-1])[0]]]
+    n = W.n
+    if n > KEY_MAX_N:
+        raise DimensionTooLargeError(
+            f"canonical forms use 64-bit W keys, capped at n={KEY_MAX_N}")
+    w = W.w
+    if not (len(w) == n and w == tuple(zip(*w)) and not any(w[i][i] for i in range(n))
+            and min(map(min, w), default=0) >= 0 and max(map(max, w), default=0) <= 7):
+        raise InvalidWError("canonical forms need a symmetric W with a zero diagonal "
+                            "and entries 0..7")
+    digits = np.array(w)[_upper(n)]
+    if digits.dtype.kind not in "iu":
+        raise InvalidWError("canonical forms need integer W entries")
+    p = _perms(n)[(digits.astype(np.uint64) @ _orbit_weights(n)).argmin()].tolist()
+    rows = [w[i] for i in p]
+    return SignChangeMatrix(n=n, w=tuple(tuple(r[j] for j in p) for r in rows),
+                            generic=W.generic)
+
+
+@functools.cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``: W's strict-upper entries, row-major, the
+    digit order of its key."""
+    upper = np.triu_indices(n, 1)
+    for a in upper:
+        a.setflags(write=False)  # one cached pair serves every caller
+    return upper
 
 
 def _key_shifts(n: int) -> np.ndarray:
@@ -171,7 +136,7 @@ def _key_shifts(n: int) -> np.ndarray:
 def _unpack_keys(keys, n: int) -> np.ndarray:
     """The n x n W matrices (int8) packed into ``keys``: shape keys.shape + (n, n)."""
     keys = np.asarray(keys, dtype=np.uint64)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper(n)
     w = np.zeros(keys.shape + (n, n), dtype=np.int8)
     w[..., iu, ju] = (keys[..., None] >> _key_shifts(n)) & np.uint64(7)
     return w + np.swapaxes(w, -1, -2)
@@ -180,7 +145,7 @@ def _unpack_keys(keys, n: int) -> np.ndarray:
 def _entry_positions(n: int) -> np.ndarray:
     """pos[i, j] = pos[j, i]: the index of entry (min(i, j), max(i, j)) among
     W's strict-upper entries, row-major (the key's digit order)."""
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper(n)
     pos = np.zeros((n, n), dtype=np.intp)
     pos[iu, ju] = pos[ju, iu] = np.arange(len(iu))
     return pos
@@ -193,7 +158,7 @@ def _orbit_weights(n: int) -> np.ndarray:
     permutation order.  The product is exact: each column sends every digit
     to its own 3-bit field, and the fields never overlap."""
     shifts = _key_shifts(n)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper(n)
     pos = _entry_positions(n)
     perms = _perms(n)
     src = pos[perms[:, iu], perms[:, ju]]  # entry e of P W P^T reads entry src[p, e] of W
@@ -330,7 +295,7 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
     par = np.bitwise_or.reduce(
         (pop[words[:, None] & ((1 << np.arange(n)) - 1)] & 1) << bytes_, axis=1)
     shift = np.zeros((n, n), dtype=np.uint64)
-    shift[np.triu_indices(n, 1)] = _key_shifts(n)
+    shift[_upper(n)] = _key_shifts(n)
 
     tails = _tails(m)
     cols = [tails[:, j] for j in range(m - 1)]  # tail word j is row j+2; contiguous

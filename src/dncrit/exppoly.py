@@ -122,10 +122,10 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
     n = dec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    return ExpPoly(bases=tuple(dec.entry_bases.tolist()),
-                   coefficients=tuple(dec.entry_coefficients[i, j].tolist()),
+    coefficients = tuple(dec.entry_coefficients[i, j].tolist())
+    return ExpPoly(bases=tuple(dec.entry_bases.tolist()), coefficients=coefficients,
                    singular=dec.singular,
-                   sign_cut=zero_tol * float(dec.entry_coefficient_max[i, j]))
+                   sign_cut=zero_tol * max(map(abs, coefficients), default=0.0))
 
 
 def eval_exppoly(f: ExpPoly, t):

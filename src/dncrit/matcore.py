@@ -117,8 +117,7 @@ class SpectralDecomposition:
     says which eigenvalues count as equal and ``clamped_eigenvalues`` which
     count as zero.  The entry polynomials f_ij(t) = sum_k c_ijk b_k^t follow
     from it: ``entry_bases`` are the b_k, ``entry_coefficients`` the c_ijk of
-    every entry at once, ``entry_coefficient_max`` their largest magnitude
-    per entry, and ``singular`` says that a zero base was dropped.
+    every entry at once, and ``singular`` says that a zero base was dropped.
     """
 
     eigenvalues: np.ndarray
@@ -170,13 +169,6 @@ class SpectralDecomposition:
         coeffs = coeffs[..., :self.entry_bases.size]
         coeffs.setflags(write=False)
         return coeffs
-
-    @cached_property
-    def entry_coefficient_max(self) -> np.ndarray:
-        """(n, n) largest |c| of each entry's coefficients, 0 without terms."""
-        cmax = np.abs(self.entry_coefficients).max(axis=-1, initial=0.0)
-        cmax.setflags(write=False)
-        return cmax
 
 
 def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymMatrix:

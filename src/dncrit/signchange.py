@@ -31,6 +31,11 @@ ZERO_COORD_TOL = 1e-8    # relative: an eigenvector coordinate at or below this
                          # times the column's largest coordinate counts as zero
 
 
+class InvalidWError(ValueError):
+    """W is outside what an operation takes: the entry rules need a W that
+    passes structural validation, canonical forms one that packs into a key."""
+
+
 @dataclass(frozen=True)
 class SignChangeMatrix:
     """Integer matrix of per-entry sign-change counts.

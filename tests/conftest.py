@@ -41,6 +41,28 @@ def sign_changes(seq) -> int:
     return count
 
 
+def pattern_to_w(p: dc.SignPattern) -> dc.SignChangeMatrix:
+    """Oracle: W[i][j] = sign changes of (s_i1 s_j1, ..., s_in s_jn), pair by
+    pair and column by column, straight from the pattern (the library gets
+    W from the rows' flip words)."""
+    n = p.n
+    s = p.s
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        row_i = s[i]
+        for j in range(i + 1, n):
+            row_j = s[j]
+            prev = row_i[0] * row_j[0]
+            changes = 0
+            for k in range(1, n):
+                cur = row_i[k] * row_j[k]
+                if cur != prev:
+                    changes += 1
+                    prev = cur
+            w[i][j] = w[j][i] = changes
+    return dc.SignChangeMatrix(n=n, w=tuple(tuple(r) for r in w), generic=True)
+
+
 def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:
     """Sign alternations of f along the grid: the grid-evidence oracle that
     an entry's sign changes never exceed its Descartes bound.

@@ -17,7 +17,7 @@ import pytest
 
 import conftest
 import dncrit as dc
-from conftest import generic_dn, random_three_eigenvalue
+from conftest import generic_dn, pattern_to_w, random_three_eigenvalue
 from dncrit.enumeration import canonicalize_w
 from dncrit.experiments import random_tridiagonal_dn
 from dncrit.exppoly import ScanConfig, entry_critical_exponent, entry_exppoly
@@ -60,7 +60,7 @@ def test_criterion_1_reference_classes_recovered():
     pattern = next((p for p in dc.enumerate_sign_patterns(5)
                     if tuple(p.rows_text()) == EXTRA_PATTERN_5), None)
     from_pattern = (pattern is not None
-                    and canonicalize_w(dc.pattern_to_w(pattern)).w == EXTRA_CLASS_5)
+                    and canonicalize_w(pattern_to_w(pattern)).w == EXTRA_CLASS_5)
 
     A = dc.SymMatrix.from_array(EXTRA_WITNESS_5)
     W = dc.sign_change_matrix(A)

@@ -23,7 +23,7 @@ PUBLIC = [
     "entry_exppoly", "enumerate_sign_patterns", "enumerate_w_classes", "eval_exppoly",
     "format_matrix", "fractional_power", "is_irreducible", "k_of_n", "known_classes",
     "lower_bound", "matrix_critical_exponent", "matrix_power_t", "negative_intervals",
-    "parse_matrix", "pattern_to_w", "random_dn", "random_tridiagonal_dn",
+    "parse_matrix", "random_dn", "random_tridiagonal_dn",
     "search_critical_exponent", "sign_change_matrix", "spectral_decompose",
     "three_eigenvalue_matrix", "tridiagonal_witness", "validate_sign_change_matrix",
 ]

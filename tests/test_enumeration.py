@@ -1,7 +1,8 @@
-"""Sign-pattern enumeration, W construction from patterns, canonicalization
-(against a brute-force oracle), and the per-dimension class sets (including
-cross-validation of the row-set reduction against canonicalizing every
-pattern's W), the flip-word lemma the row-set reduction rests on, the
+"""Sign-pattern enumeration, the pattern-to-W oracle, canonicalization
+(against a brute-force oracle, and its rejection of what a key cannot hold),
+and the per-dimension class sets (including cross-validation of the row-set
+reduction against the brute-force canonical form of every pattern's W), the
+flip-word lemma the row-set reduction rests on, the
 chunked raw-key stage against a monolithic oracle (and its tails and
 column-pair masks against the loops they replaced), the packed W keys and
 key-level orbits the enumeration sweeps over, the bucketed sweep against the
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
+from conftest import pattern_to_w
 from dncrit.enumeration import (
     DimensionTooLargeError,
     SignPattern,
-    _canonical_flat,
     _equal_pairs,
     _key_shifts,
     _count_sign_patterns,
@@ -40,6 +41,13 @@ def _canonical_flat_oracle(arr):
     perms = np.array(list(itertools.permutations(range(arr.shape[0]))), dtype=np.intp)
     variants = arr[perms[:, :, None], perms[:, None, :]].reshape(-1, arr.size)
     return variants[np.lexsort(variants.T[::-1])[0]]
+
+
+def _canonical_oracle(arr):
+    """The brute-force canonical form of the n x n array ``arr``, as W's
+    tuple rows."""
+    n = arr.shape[0]
+    return tuple(map(tuple, _canonical_flat_oracle(arr).reshape(n, n).tolist()))
 
 
 def _pack_keys(ws):
@@ -225,21 +233,21 @@ class TestPatterns:
 class TestPatternToW:
     def test_n2(self):
         p = SignPattern(n=2, s=((1, 1), (1, -1)))
-        assert dc.pattern_to_w(p).w == ((0, 1), (1, 0))
+        assert pattern_to_w(p).w == ((0, 1), (1, 0))
 
     def test_n3_hand(self):
         p = SignPattern(n=3, s=((1, 1, 1), (1, 1, -1), (1, -1, 1)))
-        assert dc.pattern_to_w(p).w == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+        assert pattern_to_w(p).w == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
 
     def test_diagonal_zero(self):
         for p in dc.enumerate_sign_patterns(4):
-            W = dc.pattern_to_w(p)
+            W = pattern_to_w(p)
             assert all(W[i, i] == 0 for i in range(4))
 
     def test_matches_descartes_on_products(self):
         from conftest import sign_changes
         for p in dc.enumerate_sign_patterns(3):
-            W = dc.pattern_to_w(p)
+            W = pattern_to_w(p)
             for i in range(3):
                 for j in range(3):
                     prods = [p.s[i][k] * p.s[j][k] for k in range(3)]
@@ -271,58 +279,78 @@ class TestCanonicalization:
 
     def test_canonical_is_orbit_minimum(self):
         arr = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        flat = _canonical_flat(arr)
+        W = dc.SignChangeMatrix(n=3, w=tuple(map(tuple, arr.tolist())))
+        flat = sum(dc.canonicalize_w(W).w, ())
         orbit = []
         for p in itertools.permutations(range(3)):
             pa = np.array(p)
             orbit.append(tuple(arr[np.ix_(pa, pa)].ravel()))
-        assert tuple(flat) == min(orbit)
+        assert flat == min(orbit)
 
-    @given(st.integers(1, 7),
-           st.sampled_from(["constant", "flat", "w", "small", "large"]),
+    @given(st.integers(1, 7), st.sampled_from(["flat", "w", "dn"]),
            st.integers(0, 2**32 - 1))
-    @example(7, "large", 0)
-    @example(7, "constant", 0)
     @example(7, "flat", 0)
+    @example(7, "w", 0)
+    @example(7, "dn", 0)
     @example(6, "w", 0)
-    @example(1, "constant", 0)
-    @example(1, "large", 1)
+    @example(1, "flat", 0)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_oracle(self, n, kind, seed):
-        # "constant" and "flat" (all off-diagonal entries equal): every
-        # relabeling ties on the first row; "w": symmetric with a zero
-        # diagonal; "small", "large": not symmetric, entries below n or
-        # below 2^40 (up to n*n distinct values)
+        # "flat" (all off-diagonal entries equal): every relabeling gives the
+        # same key; "w": symmetric with a zero diagonal, entries 0..7; "dn":
+        # the W of a random DN matrix of random rank
         rng = np.random.default_rng(seed)
-        if kind == "constant":
-            arr = np.full((n, n), int(rng.integers(0, 2**40)))
-        elif kind == "flat":
-            arr = np.full((n, n), int(rng.integers(0, n)))
+        generic = True
+        if kind == "flat":
+            arr = np.full((n, n), int(rng.integers(0, 8)))
             np.fill_diagonal(arr, 0)
         elif kind == "w":
-            arr = np.triu(rng.integers(0, n, size=(n, n)), 1)
+            arr = np.triu(rng.integers(0, 8, size=(n, n)), 1)
             arr = arr + arr.T
         else:
-            arr = rng.integers(0, n if kind == "small" else 2**40, size=(n, n))
-        want = _canonical_flat_oracle(arr)
+            A = dc.random_dn(n, int(rng.integers(1, n + 1)), int(rng.integers(2**31)))
+            W = dc.sign_change_matrix(A)
+            arr, generic = W.as_array(), W.generic
+        want = _canonical_oracle(arr)
         p = rng.permutation(n)
         for a in (arr, arr[np.ix_(p, p)]):
-            got = _canonical_flat(a)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-            W = dc.SignChangeMatrix(n=n, w=tuple(map(tuple, a.tolist())))
-            assert dc.canonicalize_w(W).w == tuple(map(tuple, want.reshape(n, n).tolist()))
+            W = dc.SignChangeMatrix(n=n, w=tuple(map(tuple, a.tolist())), generic=generic)
+            got = dc.canonicalize_w(W)
+            assert got.w == want
+            assert got.generic is W.generic
 
-    def test_n8_matches_oracle(self):
-        # CANON_MAX_N: 40,320 relabelings, of which 96 tie on the smallest
-        # first row (entries 0..2 repeat), so the lexsort has work left
-        arr = np.triu(np.random.default_rng(8).integers(0, 3, size=(8, 8)), 1)
-        arr = arr + arr.T
-        assert dc.enumeration.CANON_MAX_N == 8
-        assert _canonical_flat(arr).tolist() == _canonical_flat_oracle(arr).tolist()
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, "reference"])
+    def test_classes_and_reference_match_oracle(self, n):
+        # each class list entry and each reference class, and a random
+        # relabeling of it, against the brute-force canonical form
+        ws = dc.known_classes(5) if n == "reference" else dc.enumerate_w_classes(n)
+        rng = np.random.default_rng(len(ws))
+        for W in ws:
+            arr = W.as_array()
+            want = _canonical_oracle(arr)
+            p = rng.permutation(W.n)
+            relabeled = dc.SignChangeMatrix(n=W.n, w=tuple(map(tuple, arr[np.ix_(p, p)].tolist())))
+            assert dc.canonicalize_w(W).w == dc.canonicalize_w(relabeled).w == want
+
+    @pytest.mark.parametrize("kind", ["asymmetric", "diagonal", "entry 8", "entry -1",
+                                      "non-integer"])
+    def test_rejects_what_a_key_cannot_hold(self, kind):
+        w = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        if kind == "asymmetric":
+            w[0][1] = 3
+        elif kind == "diagonal":
+            w[1][1] = 1
+        elif kind == "non-integer":
+            w[0][2] = w[2][0] = 1.5
+        else:
+            w[0][2] = w[2][0] = int(kind.split()[1])
+        W = dc.SignChangeMatrix(n=3, w=tuple(map(tuple, w)))
+        with pytest.raises(dc.certify.InvalidWError):
+            dc.canonicalize_w(W)
 
     def test_cap(self):
-        W = dc.SignChangeMatrix(n=9, w=tuple(tuple(0 for _ in range(9))
-                                             for _ in range(9)))
+        W = dc.SignChangeMatrix(n=8, w=tuple(tuple(0 for _ in range(8))
+                                             for _ in range(8)))
         with pytest.raises(DimensionTooLargeError):
             dc.canonicalize_w(W)
 
@@ -334,7 +362,7 @@ class TestFlipWords:
             f = [_flip_word(row) for row in p.s]
             assert f[0] == 0
             popcounts = tuple(tuple(bin(a ^ b).count("1") for b in f) for a in f)
-            assert dc.pattern_to_w(p).w == popcounts
+            assert pattern_to_w(p).w == popcounts
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_prefix_parity_accepts_exactly_the_admissible_row_sets(self, n):
@@ -352,7 +380,7 @@ class TestFlipWords:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_raw_keys_are_the_w_of_word_sorted_patterns(self, n):
         # each admissible pattern with its rows in increasing flip-word order
-        ws = np.stack([dc.pattern_to_w(SignPattern(n=n, s=tuple(sorted(p.s, key=_flip_word))))
+        ws = np.stack([pattern_to_w(SignPattern(n=n, s=tuple(sorted(p.s, key=_flip_word))))
                        .as_array() for p in dc.enumerate_sign_patterns(n)])
         keys = _raw_w_from_row_sets(n)
         assert keys.dtype == np.uint64
@@ -549,9 +577,10 @@ class TestClassSets:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_reduction_matches_direct(self, n):
-        # oracle: canonicalize the W of every ordered pattern one by one
-        raw = {dc.pattern_to_w(p) for p in dc.enumerate_sign_patterns(n)}
-        direct = sorted({dc.canonicalize_w(w).w for w in raw})
+        # oracle: the brute-force canonical form of the W of every ordered
+        # pattern, one by one
+        raw = {pattern_to_w(p) for p in dc.enumerate_sign_patterns(n)}
+        direct = sorted({_canonical_oracle(w.as_array()) for w in raw})
         assert [w.w for w in dc.enumerate_w_classes(n)] == direct
 
     def test_all_classes_validate_and_are_canonical(self, class_sets):
@@ -607,8 +636,8 @@ class TestClassSets:
             rows = tuple(map(tuple, s.tolist()))
             if len(set(rows)) < 6 or len(set(zip(*rows))) < 6:
                 continue
-            W = dc.pattern_to_w(SignPattern(n=6, s=rows))
-            assert dc.canonicalize_w(W).w in allowed
+            W = pattern_to_w(SignPattern(n=6, s=rows))
+            assert _canonical_oracle(W.as_array()) in allowed
             checked += 1
 
     def test_soundness_random_generic(self, class_sets):

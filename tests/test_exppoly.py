@@ -455,7 +455,7 @@ class TestEigenvaluePolicy:
         for A, singular in ((tridiag(4), False), (sym(np.ones((3, 3))), True)):
             dec = dc.spectral_decompose(A)
             for name in ("group_starts", "clamped_eigenvalues", "entry_bases",
-                         "entry_coefficients", "entry_coefficient_max"):
+                         "entry_coefficients"):
                 arr = getattr(dec, name)
                 assert arr is getattr(dec, name), name
                 assert not arr.flags.writeable, name
@@ -463,7 +463,6 @@ class TestEigenvaluePolicy:
                     arr[...] = 0
             k = dec.entry_bases.size
             assert dec.entry_coefficients.shape == (A.n, A.n, k)
-            assert dec.entry_coefficient_max.shape == (A.n, A.n)
             assert dec.singular is singular
             assert k == dec.group_starts.size - singular
 
