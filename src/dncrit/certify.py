@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,12 +94,12 @@ def entry_bounds_from_w(W: SignChangeMatrix) -> EntryBoundMatrix:
 
 @dataclass(frozen=True)
 class ClassCertificate:
-    """One enumerated W class with its entry bounds."""
+    """One enumerated W class with its entry bounds (max computed once)."""
 
     w: SignChangeMatrix
     bounds: EntryBoundMatrix
 
-    @property
+    @cached_property
     def max_bound(self) -> float:
         return self.bounds.max_bound()
 

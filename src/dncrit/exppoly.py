@@ -7,7 +7,8 @@ of every entry are rows of the decomposition's cached (n, n, K) tensor
 ``SpectralDecomposition.entry_coefficients``, built once per decomposition.
 This module represents such functions, evaluates them on grids, bounds their
 root counts via coefficient sign changes, and locates intervals where they
-are negative.
+are negative.  ``_negative_grid`` scans for ``negative_intervals`` and both
+critical exponents, which are ``_last_exit`` (the entry one its one row).
 """
 
 from __future__ import annotations
@@ -197,18 +198,19 @@ def negative_intervals(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, 
     """Maximal intervals inside [t_min, t_max] where f < -entry_tol, disjoint
     and ascending.
 
-    Grid scan at ``step`` resolution, then bisection refinement of each
-    endpoint down to ``endpoint_tol``.  Dips narrower than the step can be
-    missed; runs that touch the window boundary keep the boundary as a
-    clipped endpoint.
+    Grid scan at ``step`` resolution (row 0 of ``_negative_grid``), then
+    bisection refinement of each endpoint down to ``endpoint_tol``.  Dips
+    narrower than the step can be missed; runs that touch the window
+    boundary keep the boundary as a clipped endpoint.
     """
-    ts = scan.grid()
-    neg = np.concatenate(([False], eval_exppoly(f, ts) < -scan.entry_tol, [False]))
+    b = np.array(f.bases)
+    c = np.array(f.coefficients)
+    ts, neg = _negative_grid(b, c[None, :], f.singular, scan)
+    neg = np.concatenate(([False], neg[0], [False]))
     flips = np.flatnonzero(neg[1:] != neg[:-1])
     if flips.size == 0:
         return ()
-    b_col = np.array(f.bases)[:, None]
-    c = np.array(f.coefficients)
+    b_col = b[:, None]
     last = len(ts) - 1
     intervals = []
     # flips pair up: a run covers grid indices start .. stop - 1
@@ -252,19 +254,10 @@ def _bisect_edge(b_col: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
 
 
 def entry_critical_exponent(f: ExpPoly, scan: ScanConfig) -> float:
-    """Supremum of upper endpoints of negativity intervals in the window,
-    clamped at 0.0, the answer when the entry never dips below -entry_tol
-    there.  A window below t = 0 raises ValueError."""
-    _require_window_reaches_zero(scan)
-    return max([0.0] + [iv.hi for iv in negative_intervals(f, scan)])
-
-
-def _require_window_reaches_zero(scan: ScanConfig) -> None:
-    """A critical exponent is at least 0, so a window ending below t = 0
-    cannot bound one; a window that straddles 0 is clamped there."""
-    if scan.t_max < 0.0:
-        raise ValueError(f"scan window [{scan.t_min!r}, {scan.t_max!r}] lies below t = 0, "
-                         "where no critical exponent can lie")
+    """Largest upper endpoint of f's negativity intervals in the window,
+    clamped at 0.0 (f never below -entry_tol there): the one-row
+    ``_last_exit``.  A window below t = 0 raises ValueError."""
+    return _last_exit(np.array(f.bases), np.array([f.coefficients]), f.singular, scan)
 
 
 def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:
@@ -273,6 +266,13 @@ def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> fl
     if scan is None:
         scan = ScanConfig.for_matrix(A)
     return _matrix_critical_exponent(spectral_decompose(A), scan)
+
+
+def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
+    """``matrix_critical_exponent`` on a decomposition the caller holds: the
+    entries i <= j, rows of its coefficient tensor, in one ``_last_exit``."""
+    return _last_exit(dec.entry_bases, dec.entry_coefficients[np.triu_indices(dec.n)],
+                      dec.singular, scan)
 
 
 def _grid_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -285,24 +285,29 @@ def _grid_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (coeffs[:, None, :] @ table)[:, 0]
 
 
-def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
-    """``matrix_critical_exponent`` on a decomposition the caller holds.
-
-    The entries i <= j, rows of the decomposition's coefficient tensor,
-    share one (K, T) power table of the grid, so their grid values are one
-    ``_grid_values`` product.  Only the last grid column with a negative
-    value matters: upper ends of runs that stop earlier lie below it, so
-    just the entries negative in that column are refined, and a run
-    reaching the last grid point ends at t_max.
-    """
-    _require_window_reaches_zero(scan)
+def _negative_grid(bases: np.ndarray, coeffs: np.ndarray, singular: bool,
+                   scan: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid and the (E, T) mask of where E entries, (E, K)
+    coefficients on the shared (K,) bases, lie below -entry_tol: one power
+    table, one ``_grid_values`` product.  ``singular`` entries lack t < 0."""
     ts = scan.grid()
-    bases = dec.entry_bases
-    coeffs = dec.entry_coefficients[np.triu_indices(dec.n)]
-    if dec.singular and ts[0] < 0.0:
+    if singular and ts[0] < 0.0:
         raise ZeroToNegativePowerError("entry has a dropped zero base; t < 0 undefined")
-    table = np.power(bases[:, None], ts[None, :])
-    neg = _grid_values(coeffs, table) < -scan.entry_tol
+    return ts, _grid_values(coeffs, np.power(bases[:, None], ts[None, :])) < -scan.entry_tol
+
+
+def _last_exit(bases: np.ndarray, coeffs: np.ndarray, singular: bool,
+               scan: ScanConfig) -> float:
+    """Largest upper end of a negativity run over E entries, clamped at 0.0.
+
+    Only the last grid column with a negative value matters: earlier runs
+    end below it, so just the entries negative there are refined, and a run
+    reaching the last grid point ends at t_max.  A critical exponent is at
+    least 0: a window ending below t = 0 raises ValueError."""
+    if scan.t_max < 0.0:
+        raise ValueError(f"scan window [{scan.t_min!r}, {scan.t_max!r}] lies below t = 0, "
+                         "where no critical exponent can lie")
+    ts, neg = _negative_grid(bases, coeffs, singular, scan)
     cols = np.flatnonzero(neg.any(axis=0))
     if cols.size == 0:
         return 0.0

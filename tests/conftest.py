@@ -20,7 +20,7 @@ from dncrit.exppoly import (
     eval_exppoly,
     grid_entry_values,
 )
-from dncrit.signchange import component_bound
+from dncrit.signchange import ValidationResult, component_bound
 
 EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
 
@@ -61,6 +61,42 @@ def pattern_to_w(p: dc.SignPattern) -> dc.SignChangeMatrix:
                     prev = cur
             w[i][j] = w[j][i] = changes
     return dc.SignChangeMatrix(n=n, w=tuple(tuple(r) for r in w), generic=True)
+
+
+def validate_sign_change_matrix_oracle(W: dc.SignChangeMatrix) -> ValidationResult:
+    """The two-path validator ``validate_sign_change_matrix`` replaced: a
+    valid W clears scalar reductions on its rows, anything else gets its
+    report from numpy arrays.  The library must give an equal
+    ``ValidationResult``, violations and their order included."""
+    w, cap = W.w, W.n - 1
+    # a valid W passes a few scalar reductions on its rows; by symmetry, at
+    # most one cap per row covers the columns too
+    if (w == tuple(zip(*w)) and min(map(min, w)) >= 0 and max(map(max, w)) <= cap
+            and not any(w[i][i] for i in range(W.n)) and all(r.count(cap) <= 1 for r in w)):
+        return ValidationResult(ok=True, violations=())
+    arr = W.as_array()
+    at_cap = arr == cap
+    diag = np.diagonal(arr)
+    over = arr.max(axis=1, initial=0) > cap
+    multi_row = at_cap.sum(axis=1) > 1
+    multi_col = at_cap.sum(axis=0) > 1
+    symmetric = (arr == arr.T).all()
+    negative = (arr < 0).any()
+    violations: list[str] = []
+    if not symmetric:
+        violations.append("not symmetric")
+    violations += [f"diagonal entry ({i + 1},{i + 1}) = {diag[i]} nonzero"
+                   for i in np.flatnonzero(diag)]
+    if negative:
+        violations.append("negative entries present")
+    for i in np.flatnonzero(over | multi_row):
+        if over[i]:
+            violations.append(f"row {i + 1} exceeds {cap}")
+        if multi_row[i]:
+            violations.append(f"row {i + 1} has multiple entries equal to {cap}")
+    violations += [f"column {j + 1} has multiple entries equal to {cap}"
+                   for j in np.flatnonzero(multi_col)]
+    return ValidationResult(ok=not violations, violations=tuple(violations))
 
 
 def grid_sign_alternations(f: ExpPoly, ts: np.ndarray) -> int:

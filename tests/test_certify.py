@@ -268,6 +268,21 @@ class TestCertificates:
         assert data["conclusion"] == "m(3) = 1"
         assert data["classes"][0]["max_bound"] == 1.0
 
+    def test_max_bound_computed_once_per_class(self, monkeypatch):
+        real = dc.EntryBoundMatrix.max_bound
+        calls = []
+
+        def counting(bounds):
+            calls.append(bounds)
+            return real(bounds)
+
+        monkeypatch.setattr(dc.EntryBoundMatrix, "max_bound", counting)
+        report = dc.certify_dimension(6)
+        report.to_json_dict()
+        assert (report.num_uncertified, report.complete) == (201, False)
+        assert len(calls) == report.num_classes == 399
+        assert [c.max_bound for c in report.classes] == [real(c.bounds) for c in report.classes]
+
     def test_caps(self):
         with pytest.raises(ValueError):
             dc.certify_dimension(1)

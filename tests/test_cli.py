@@ -229,6 +229,13 @@ class TestWitness:
         assert "negative_window=(" in out
         assert "empirical_critexp=2.0" in out
 
+    def test_unresolved_witness_is_an_error(self, capsys):
+        # float64 cannot resolve this draw: no report, no [FAIL] claims
+        assert main(["witness", "--tridiagonal", "--n", "17", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: witness n=17 seed=0")
+
     def test_family_required(self, capsys):
         assert main(["witness", "--n", "4", "--seed", "0"]) == 2
         assert "--tridiagonal" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from dncrit.experiments import (
     DimensionTooSmallError,
     RepeatedTopEigenvalueError,
     TooManyEigenvaluesError,
+    UnresolvedWitnessError,
     random_tridiagonal_dn,
 )
 from dncrit.exppoly import ScanConfig
@@ -95,6 +96,24 @@ class TestTridiagonalWitness:
     def test_too_small(self):
         with pytest.raises(DimensionTooSmallError):
             dc.tridiagonal_witness(2, seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(13, 41), (13, 47), (17, 0)])
+    def test_unresolved_draws_raise(self, n, seed):
+        # (A^q)_{1n} = 0 exactly for q = 1..n-2; float64 misses a zero of
+        # these draws by more than entry_tol, so no claim can be decided
+        with pytest.raises(UnresolvedWitnessError, match=f"n={n} seed={seed}"):
+            dc.tridiagonal_witness(n, seed)
+
+    def test_nan_at_the_zeros_raises(self, monkeypatch):
+        real = dc.experiments.eval_exppoly
+        monkeypatch.setattr(dc.experiments, "eval_exppoly",
+                            lambda f, t: real(f, t) * np.nan)
+        with pytest.raises(UnresolvedWitnessError, match="by nan > entry_tol"):
+            dc.tridiagonal_witness(4, seed=0)
+
+    def test_error_type_is_private(self):
+        assert issubclass(UnresolvedWitnessError, ValueError)
+        assert "UnresolvedWitnessError" not in dc.__all__
 
     def test_json_fields(self):
         rep = dc.tridiagonal_witness(4, seed=1)

@@ -613,6 +613,40 @@ class TestScanOracle:
                         assert dc.negative_intervals(f, scan) == \
                             negative_intervals_oracle(f, scan), (label, i, j, scan)
 
+    @staticmethod
+    def _entry_exponent_oracle(f, scan):
+        return max((0.0, *(iv.hi for iv in negative_intervals_oracle(f, scan))))
+
+    def test_entry_exponents_match_oracle(self):
+        for label, A in scan_corpus():
+            dec = dc.spectral_decompose(A)
+            scans = (ScanConfig.for_matrix(A, t_max=dc.crude_bound(A.n) + 2.0),
+                     ScanConfig.for_matrix(A, t_min=0.73, t_max=3.3, step=0.05))
+            for scan in scans:
+                for i in range(A.n):
+                    for j in range(i, A.n):
+                        f = dc.entry_exppoly(dec, i, j)
+                        assert dc.entry_critical_exponent(f, scan) == \
+                            self._entry_exponent_oracle(f, scan), (label, i, j, scan)
+
+    def test_entry_exponent_edge_cases(self):
+        A = tridiag(4)
+        f = dc.entry_exppoly(dc.spectral_decompose(A), 0, 1)
+        below = ScanConfig.for_matrix(A, t_min=-2.0, t_max=-0.5)
+        with pytest.raises(ValueError, match="lies below t = 0"):
+            dc.entry_critical_exponent(f, below)
+        straddle = ScanConfig.for_matrix(A, t_min=-2.0, t_max=0.5)
+        got = dc.entry_critical_exponent(f, straddle)
+        assert got == self._entry_exponent_oracle(f, straddle) == 0.0
+        singular = dc.entry_exppoly(dc.spectral_decompose(dc.random_dn(5, 3, 0)), 0, 4)
+        assert singular.singular
+        with pytest.raises(ZeroToNegativePowerError):
+            dc.entry_critical_exponent(singular, straddle)
+        scan = ScanConfig.for_matrix(A, t_max=4.0)
+        for empty in (ExpPoly((), ()), ExpPoly((), (), singular=True)):
+            assert dc.entry_critical_exponent(empty, scan) == \
+                self._entry_exponent_oracle(empty, scan) == 0.0
+
     def test_matrix_exponents_match_oracle(self):
         for label, A in scan_corpus():
             assert dc.matrix_critical_exponent(A) == matrix_critical_exponent_oracle(A), label

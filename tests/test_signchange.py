@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
+from conftest import validate_sign_change_matrix_oracle
 from dncrit import signchange
 from dncrit.exppoly import COEFF_ZERO_TOL, descartes_bound, entry_exppoly
 from dncrit.signchange import (
@@ -175,14 +176,33 @@ def _validate_oracle(W):
     return ValidationResult(ok=False, violations=_violations_oracle(W))
 
 
+@st.composite
+def capped_w(draw):
+    """A ``near_w`` draw with 2..n entries of one row or one column set to
+    the cap n-1, mirrored or not: several caps in one line."""
+    W = draw(near_w())
+    n = W.n
+    w = np.array(W.w)
+    if n >= 3:
+        line = draw(st.integers(0, n - 1))
+        at = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        if draw(st.booleans()):
+            w[line, at] = n - 1
+        else:
+            w[at, line] = n - 1
+        if draw(st.booleans()):
+            w = np.triu(w, 1) + np.triu(w, 1).T
+    return SignChangeMatrix(n=n, w=tuple(map(tuple, w.tolist())))
+
+
 class TestValidation:
-    @given(near_w())
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(near_w(), capped_w()))
+    @settings(max_examples=600, deadline=None, derandomize=True)
     def test_messages_match_oracle(self, W):
         result = dc.validate_sign_change_matrix(W)
         assert result.violations == _violations_oracle(W)
         assert result.ok == (not result.violations)
-        assert result == _validate_oracle(W)
+        assert result == _validate_oracle(W) == validate_sign_change_matrix_oracle(W)
 
     @pytest.mark.parametrize("w", [((0,),), ((1,),), ((-1,),)])
     def test_n1_matches_old_validation(self, w):
@@ -192,12 +212,15 @@ class TestValidation:
         assert result.ok == (w == ((0,),))
 
     def test_valid_w_match_old_validation(self):
-        # every enumerated class is valid, and so is the W of a generic DN matrix
-        classes = [W for n in range(1, 6) for W in dc.enumerate_w_classes(n)]
+        # every enumerated class and reference class is valid, and so is the
+        # W of a generic DN matrix
+        classes = [W for n in range(1, 7) for W in dc.enumerate_w_classes(n)]
+        classes += dc.known_classes(5)
         drawn = [dc.sign_change_matrix(dc.random_dn(n, n, seed))
                  for n in range(1, 8) for seed in range(10)]
         for W in classes + drawn:
-            assert dc.validate_sign_change_matrix(W) == _validate_oracle(W)
+            assert dc.validate_sign_change_matrix(W) == _validate_oracle(W) == \
+                validate_sign_change_matrix_oracle(W)
         assert all(dc.validate_sign_change_matrix(W).ok for W in classes)
 
     def test_toeplitz_ok(self):
