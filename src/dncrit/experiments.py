@@ -41,6 +41,7 @@ from .matcore import (
     NotIrreducibleError,
     NotPrimitiveError,
     SymMatrix,
+    _finish_decomposition,
     check_dn,
     spectral_decompose,
 )
@@ -312,9 +313,11 @@ def check_monotonicity(A: SymMatrix, r: float) -> WitnessReport:
 
 def check_perturbation(A: SymMatrix) -> PerturbationReport:
     """Verify (eps A + I)^t entry-wise >= -entry_tol on the grid t in
-    [max(0, n-2), n+5], with eps maximal under eps A^n <= A^{n-1} entry-wise."""
+    [max(0, n-2), n+5], with eps maximal under eps A^n <= A^{n-1} entry-wise.
+    eps A + I is not decomposed: it has A's eigenvectors, eigenvalues eps lambda + 1."""
     n = A.n
-    report = check_dn(A)
+    dec = spectral_decompose(A)
+    report = check_dn(A, dec=dec)
     if not report.is_dn:
         raise NotDoublyNonnegativeError("perturbation check needs a DN matrix")
     if not report.is_irreducible:
@@ -328,7 +331,8 @@ def check_perturbation(A: SymMatrix) -> PerturbationReport:
     C = SymMatrix.from_array(eps * A.entries + np.eye(n))
     scan = ScanConfig.for_matrix(C, t_min=max(0.0, n - 2.0), t_max=n + 5.0)
     ts = scan.grid()
-    vals = grid_entry_values(spectral_decompose(C), ts)
+    vals = grid_entry_values(_finish_decomposition(eps * dec.eigenvalues + 1.0,
+                                                   dec.eigenvectors), ts)
     min_value, argmin_t, ok = _grid_minimum(vals, ts, scan.entry_tol)
     return PerturbationReport(
         matrix=A,

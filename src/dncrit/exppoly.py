@@ -21,7 +21,7 @@ import numpy as np
 from .matcore import (
     SpectralDecomposition,
     SymMatrix,
-    ZeroToNegativePowerError,
+    _power_table,
     spectral_decompose,
 )
 
@@ -38,9 +38,9 @@ class ExpPoly:
 
     All merged terms are kept for evaluation; ``sign_cut`` is the absolute
     magnitude below which a coefficient is treated as zero when counting sign
-    changes.  ``singular`` records that zero bases (and their coefficients)
-    were dropped during construction: f then only represents the entry for
-    t > 0 (and for t = 0 up to the dropped rank-deficient part).
+    changes.  ``singular`` records a zero eigenvalue, whose group (base and
+    coefficients) was dropped during construction: f then only represents
+    the entry for t > 0 (and for t = 0 up to the dropped rank-deficient part).
     """
 
     bases: tuple[float, ...]
@@ -130,17 +130,10 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
 
 
 def eval_exppoly(f: ExpPoly, t):
-    """Evaluate f at scalar or array t.  Vectorized; t < 0 is fine unless the
-    dropped-zero-base flag makes the representation invalid there."""
+    """Evaluate f at scalar or array t.  Vectorized; t < 0 is fine unless f
+    is ``singular`` (see ``_power_table``)."""
     t_arr = np.asarray(t, dtype=float)
-    if f.singular and np.any(t_arr < 0.0):
-        raise ZeroToNegativePowerError("entry has a dropped zero base; t < 0 undefined")
-    if not f.bases:
-        out = np.zeros_like(t_arr)
-        return out if t_arr.ndim else float(out)
-    b = np.array(f.bases)
-    c = np.array(f.coefficients)
-    vals = c @ np.power(b[:, None], t_arr.ravel()[None, :])
+    vals = np.array(f.coefficients) @ _power_table(np.array(f.bases), t_arr.ravel(), f.singular)
     out = vals.reshape(t_arr.shape)
     return out if t_arr.ndim else float(out)
 
@@ -150,18 +143,15 @@ def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
     products u_ik u_jk times the (n, T) power table, one matmul.
 
     Much faster than building n^2 ExpPoly objects when every entry of every
-    power on a grid is needed; t must be >= 0 when A is singular.
+    power on a grid is needed; the table is ``_power_table`` of every clamped
+    eigenvalue, zero included.
 
     The value at one t can differ in its last bits with the grid's length:
     numpy takes another matmul kernel for short grids, so ``ts[:k]`` need not
     give the first k columns of ``ts`` bit for bit, and ``dncrit scan`` can
     print different 17th digits for one t under two windows.
     """
-    ts = np.asarray(ts, dtype=float)
-    lam = dec.clamped_eigenvalues
-    if np.any(ts < 0.0) and np.any(lam == 0.0):
-        raise ZeroToNegativePowerError("negative t with a zero eigenvalue")
-    powed = np.power(lam[:, None], ts[None, :])
+    powed = _power_table(dec.clamped_eigenvalues, np.asarray(ts, dtype=float), dec.singular)
     u = dec.eigenvectors
     return (u[:, None, :] * u[None, :, :]) @ powed
 
@@ -288,12 +278,10 @@ def _grid_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _negative_grid(bases: np.ndarray, coeffs: np.ndarray, singular: bool,
                    scan: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     """The scan grid and the (E, T) mask of where E entries, (E, K)
-    coefficients on the shared (K,) bases, lie below -entry_tol: one power
-    table, one ``_grid_values`` product.  ``singular`` entries lack t < 0."""
+    coefficients on the shared (K,) bases, lie below -entry_tol: one
+    ``_power_table``, one ``_grid_values`` product."""
     ts = scan.grid()
-    if singular and ts[0] < 0.0:
-        raise ZeroToNegativePowerError("entry has a dropped zero base; t < 0 undefined")
-    return ts, _grid_values(coeffs, np.power(bases[:, None], ts[None, :])) < -scan.entry_tol
+    return ts, _grid_values(coeffs, _power_table(bases, ts, singular)) < -scan.entry_tol
 
 
 def _last_exit(bases: np.ndarray, coeffs: np.ndarray, singular: bool,

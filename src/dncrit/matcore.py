@@ -114,10 +114,10 @@ class SpectralDecomposition:
     Column signs are canonical: the first coordinate with magnitude above
     SIGN_TOL is positive.  The eigenvalue policy every module reads lives
     here, each part computed at most once and read-only: ``group_starts``
-    says which eigenvalues count as equal and ``clamped_eigenvalues`` which
-    count as zero.  The entry polynomials f_ij(t) = sum_k c_ijk b_k^t follow
-    from it: ``entry_bases`` are the b_k, ``entry_coefficients`` the c_ijk of
-    every entry at once, and ``singular`` says that a zero base was dropped.
+    says which eigenvalues count as equal, zero always a group of its own,
+    and ``singular`` whether there is a zero.  The entry polynomials
+    f_ij(t) = sum_k c_ijk b_k^t follow from it: ``entry_bases`` are the b_k
+    of the other groups, ``entry_coefficients`` the c_ijk of every entry.
     """
 
     eigenvalues: np.ndarray
@@ -145,19 +145,19 @@ class SpectralDecomposition:
 
     @cached_property
     def entry_bases(self) -> np.ndarray:
-        """The first clamped eigenvalue of each group, strictly decreasing;
-        a zero base is dropped (see ``singular``)."""
-        bases = self.clamped_eigenvalues[self.group_starts]
-        if bases[-1] == 0.0:
-            bases = bases[:-1]
+        """The first clamped eigenvalue of every group but the zero group
+        (see ``singular``): positive and strictly decreasing."""
+        starts = self.group_starts
+        bases = self.clamped_eigenvalues[starts[:starts.size - self.singular]]
         bases.setflags(write=False)
         return bases
 
     @property
     def singular(self) -> bool:
-        """Whether a zero base, and its coefficients, were dropped: the entry
-        polynomials then only represent A^t for t > 0."""
-        return self.entry_bases.size < self.group_starts.size
+        """Whether A has a zero eigenvalue: its last value, read unclamped for
+        a caller's own PSD tolerance, is <= 0.  The entry polynomials then
+        lack the zero group and only represent A^t for t > 0."""
+        return bool(self.eigenvalues[-1] <= 0.0)
 
     @cached_property
     def entry_coefficients(self) -> np.ndarray:
@@ -277,12 +277,13 @@ def _group_starts(lam: np.ndarray) -> np.ndarray:
     A value joins the current group while it lies within
     MERGE_TOL * max(1, |lam_1|) of the group's first value.  Comparing with
     the first value rather than the neighbour keeps a chain of close values
-    from collapsing into one group wider than the tolerance.
+    from collapsing into one group wider than the tolerance.  A value <= 0
+    never joins a group that starts above 0, whose power it cannot share.
     """
     tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
     starts = [0]
     for k in range(1, lam.size):
-        if lam[starts[-1]] - lam[k] > tol:
+        if lam[starts[-1]] - lam[k] > tol or lam[k] <= 0.0 < lam[starts[-1]]:
             starts.append(k)
     return np.array(starts, dtype=np.intp)
 
@@ -291,19 +292,26 @@ def fractional_power(dec: SpectralDecomposition, t: float, psd_tol: float = PSD_
     """Real power sum(lambda_k^t x_k x_k^T).
 
     Eigenvalues within the PSD tolerance band below zero are clamped to 0;
-    anything lower raises NegativeEigenvalueError.  Conventions: 0^t = 0 for
-    t > 0 and 0^0 = 1, so A^0 = I even for singular A.  A non-finite t
-    raises ValueError.
+    anything lower raises NegativeEigenvalueError.  Conventions of
+    ``_power_table``: 0^t = 0 for t > 0 and 0^0 = 1, so A^0 = I even for
+    singular A, where t < 0 raises.  A non-finite t raises ValueError.
     """
     if not np.isfinite(t):
         raise ValueError(f"power t must be finite, got {t!r}")
     lam = clamp_psd(dec.eigenvalues, psd_tol)
-    if t < 0 and np.any(lam == 0.0):
-        raise ZeroToNegativePowerError(f"t={t} < 0 with a zero eigenvalue")
-    powered = np.power(lam, t)
     u = dec.eigenvectors
-    result = (u * powered) @ u.T
+    result = (u * _power_table(lam, t, dec.singular)[:, 0]) @ u.T
     return SymMatrix.from_array((result + result.T) / 2.0, sym_tol=np.inf)
+
+
+def _power_table(bases: np.ndarray, ts, singular: bool) -> np.ndarray:
+    """(K, T) table of bases[k] ** ts[a], (K, 1) for a scalar t: the one
+    source of eigenvalue powers.  0^t has no value for t < 0, so a negative
+    t raises ZeroToNegativePowerError when the matrix is ``singular``,
+    whether ``bases`` holds its zero or not."""
+    if singular and np.any(ts < 0.0):
+        raise ZeroToNegativePowerError("t < 0 with a zero eigenvalue")
+    return np.power(bases[:, None], ts)
 
 
 def clamp_psd(eigenvalues: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:

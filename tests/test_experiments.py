@@ -15,7 +15,7 @@ from dncrit.experiments import (
     UnresolvedWitnessError,
     random_tridiagonal_dn,
 )
-from dncrit.exppoly import ScanConfig
+from dncrit.exppoly import ScanConfig, grid_entry_values
 from dncrit.matcore import (
     NotDoublyNonnegativeError,
     NotIrreducibleError,
@@ -222,6 +222,23 @@ class TestOneDecomposition:
             assert len(calls) == 1
             assert rep.to_json_dict() == expected
             assert rep.empirical_critexp == dc.matrix_critical_exponent(A, rep.scan)
+
+    def test_perturbation_decomposes_once(self, monkeypatch):
+        # eps A + I shares A's eigenvectors; its grid minimum agrees with a
+        # decomposition of its own
+        cases = [random_tridiagonal_dn(n, np.random.default_rng([n, 5])) for n in range(3, 9)]
+        cases += [dc.random_dn(n, n, 70 + n) for n in range(2, 7)]
+        calls = self._count_decompositions(monkeypatch)
+        for A in cases:
+            calls.clear()
+            rep = dc.check_perturbation(A)
+            assert len(calls) == 1
+            C = dc.SymMatrix.from_array(rep.epsilon * A.entries + np.eye(A.n))
+            ts = rep.scan.grid()
+            vals = grid_entry_values(dc.spectral_decompose(C), ts).min(axis=(0, 1))
+            assert rep.min_value == pytest.approx(vals.min(), rel=0.0, abs=1e-12)
+            assert rep.argmin_t == ts[np.argmin(vals)]
+            assert rep.passed == bool(vals.min() >= -rep.scan.entry_tol)
 
     def test_report_same_with_and_without_dec(self):
         for seed in range(10):

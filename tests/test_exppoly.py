@@ -28,6 +28,7 @@ from dncrit.exppoly import (
 )
 from dncrit.matcore import (
     MERGE_TOL,
+    NegativeEigenvalueError,
     ZeroToNegativePowerError,
     _group_starts,
     clamp_psd,
@@ -465,6 +466,101 @@ class TestEigenvaluePolicy:
             assert dec.entry_coefficients.shape == (A.n, A.n, k)
             assert dec.singular is singular
             assert k == dec.group_starts.size - singular
+
+    def test_zero_group_on_scan_corpus(self):
+        for label, A in scan_corpus():
+            dec = dc.spectral_decompose(A)
+            assert dec.singular == bool((dec.clamped_eigenvalues == 0.0).any()), label
+            assert dec.entry_bases.size == dec.group_starts.size - dec.singular, label
+
+
+def _zero_beside_tiny():
+    """A = 3 v v^T + 5e-9 w w^T: eigenvalues 3, 5e-9 and 0, the last two
+    closer than MERGE_TOL * 3."""
+    v = np.ones(3) / np.sqrt(3.0)
+    w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    return sym(3.0 * np.outer(v, v) + 5e-9 * np.outer(w, w))
+
+
+@st.composite
+def _zero_and_tiny_spectra(draw):
+    """PSD matrices at n = 3..7 with one zero eigenvalue, one in
+    [1e-12, 8e-9] and the others in [0.1, 5], in a random basis."""
+    n = draw(st.integers(3, 7))
+    seed = draw(st.integers(0, 2**31 - 1))
+    tiny = draw(st.floats(1e-12, 8e-9))
+    lam = np.sort(np.random.default_rng(seed).uniform(0.1, 5.0, size=n))[::-1]
+    lam[-2:] = tiny, 0.0
+    return _with_spectrum(lam, seed)
+
+
+class TestZeroGroup:
+    """Zero is an eigenvalue group of its own, and every power of an
+    eigenvalue, with the t < 0 rule, comes from one table."""
+
+    def test_zero_beside_a_tiny_eigenvalue(self):
+        A = _zero_beside_tiny()
+        dec = dc.spectral_decompose(A)
+        assert dec.group_starts.size == 3 and dec.singular
+        assert dc.check_dn(A).num_distinct_eigenvalues == 3
+        f = dc.entry_exppoly(dec, 0, 1)
+        want = dc.fractional_power(dec, 0.01).entries[0, 1]
+        assert f(0.01) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx(-0.0760, abs=1e-4)
+        assert dc.empirical_critical_exponent(A) == pytest.approx(0.0201, abs=1e-4)
+
+    @given(_zero_and_tiny_spectra())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_entry_polynomials_match_grid_values(self, A):
+        dec = dc.spectral_decompose(A)
+        ts = np.array([0.01, 0.1, 0.5, 1.0, 2.0])
+        vals = grid_entry_values(dec, ts)
+        tol = 1e-9 * max(1.0, A.max_abs())
+        for i in range(A.n):
+            for j in range(A.n):
+                got = dc.eval_exppoly(dc.entry_exppoly(dec, i, j), ts)
+                assert np.abs(got - vals[i, j]).max() <= tol, (i, j)
+
+    @staticmethod
+    def _powering_paths(A, t):
+        dec = dc.spectral_decompose(A)
+        scan = ScanConfig.for_matrix(A, t_min=t, t_max=1.0)
+        return (lambda: dc.fractional_power(dec, t),
+                lambda: grid_entry_values(dec, [t, 1.0]),
+                lambda: dc.eval_exppoly(dc.entry_exppoly(dec, 0, 1), t),
+                lambda: dc.matrix_critical_exponent(A, scan))
+
+    def test_one_rule_for_negative_t(self):
+        singular = (_zero_beside_tiny(), dc.random_dn(5, 3, 0), sym(np.ones((3, 3))),
+                    sym(np.zeros((2, 2))), sym(np.diag([2.0, 1e-12, 0.0])))
+        invertible = (_zero_beside_tiny().entries + 1e-6 * np.eye(3), tridiag(4),
+                      dc.random_dn(5, 5, 0), np.eye(3), np.diag([2.0, 1e-12]))
+        for A in singular:
+            assert dc.spectral_decompose(A).singular
+            for path in self._powering_paths(A, -0.5):
+                with pytest.raises(ZeroToNegativePowerError):
+                    path()
+        for A in map(sym, invertible):
+            assert not dc.spectral_decompose(A).singular
+            for path in self._powering_paths(A, -0.5):
+                path()
+        # a zero eigenvalue beside a negative one: the PSD check comes first
+        for t in (-0.5, 0.5):
+            for path in self._powering_paths(sym(np.diag([1.0, 0.0, -1.0])), t):
+                with pytest.raises(NegativeEigenvalueError):
+                    path()
+
+    def test_singular_under_a_callers_psd_tolerance(self):
+        # -1e-9 fails the default PSD band, so only fractional_power's own
+        # psd_tol clamps it to a zero eigenvalue
+        dec = dc.spectral_decompose(sym(np.diag([1.0, -1e-9])))
+        assert dec.singular
+        got = dc.fractional_power(dec, 0.5, psd_tol=1e-8).entries
+        assert np.array_equal(got, np.diag([1.0, 0.0]))
+        with pytest.raises(ZeroToNegativePowerError):
+            dc.fractional_power(dec, -0.5, psd_tol=1e-8)
+        with pytest.raises(NegativeEigenvalueError):
+            dc.fractional_power(dec, 0.5)
 
 
 def _entry_terms_oracle(dec, i, j):
