@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .enumeration import KEY_MAX_N, DimensionTooLargeError, enumerate_w_classes
+from .enumeration import enumerate_w_classes
 from .signchange import InvalidWError, SignChangeMatrix, validate_sign_change_matrix
 
 UNBOUNDED = math.inf
@@ -71,9 +69,6 @@ class EntryBoundMatrix:
 
     def num_unbounded(self) -> int:
         return sum(1 for row in self.bound for v in row if v == UNBOUNDED)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bound, dtype=float)
 
 
 def entry_bounds_from_w(W: SignChangeMatrix) -> EntryBoundMatrix:
@@ -165,13 +160,11 @@ def certify_dimension(n: int) -> CertificateReport:
 
     The conclusion pins m(n) exactly when the certified upper bound meets the
     n-2 lower bound; otherwise it reports the bracket, or how many classes
-    escaped the rules.
+    escaped the rules.  Above KEY_MAX_N the enumeration raises
+    DimensionTooLargeError.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > KEY_MAX_N:
-        raise DimensionTooLargeError(
-            f"certification relies on enumeration, capped at n={KEY_MAX_N}")
     classes = enumerate_w_classes(n)
     certs = tuple(ClassCertificate(w=w, bounds=entry_bounds_from_w(w)) for w in classes)
     maxima = [c.max_bound for c in certs]

@@ -181,9 +181,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if not args.tridiagonal:
-        print("witness: --tridiagonal is the only implemented family", file=sys.stderr)
-        return 2
     report = experiments.tridiagonal_witness(args.n, args.seed)
     for desc, ok in report.claims:
         print(f"[{'ok' if ok else 'FAIL'}] {desc}")
@@ -302,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("witness", help="random lower-bound witness run")
-    p.add_argument("--tridiagonal", action="store_true")
+    p.add_argument("--tridiagonal", action="store_true", required=True,
+                   help="the witness family (the only one implemented)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     add_out(p)

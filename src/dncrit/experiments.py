@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certify import crude_bound
+from .enumeration import DimensionTooLargeError
 from .exppoly import (
     ScanConfig,
     _matrix_critical_exponent,
@@ -151,14 +152,8 @@ def random_tridiagonal_dn(n: int, rng: np.random.Generator) -> SymMatrix:
     if n < 2:
         raise DimensionTooSmallError("tridiagonal family needs n >= 2")
     off = rng.uniform(0.5, 1.5, size=n - 1)
-    diag = np.zeros(n)
-    diag[0] = off[0]
-    diag[-1] = off[-1]
-    if n > 2:
-        diag[1:-1] = off[:-1] + off[1:]
-    diag = diag + rng.uniform(0.1, 1.0, size=n)
-    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return SymMatrix.from_array(a)
+    diag = np.append(off, 0.0) + np.append(0.0, off) + rng.uniform(0.1, 1.0, size=n)
+    return SymMatrix.from_array(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def tridiagonal_witness(n: int, seed: int) -> WitnessReport:
@@ -171,6 +166,8 @@ def tridiagonal_witness(n: int, seed: int) -> WitnessReport:
     (A^q)_{1n} = 0 exactly for q = 1..n-2 (graph distance n-1); a computed
     entry that misses one by more than entry_tol (float64 runs out near
     n = 13) raises UnresolvedWitnessError instead of reporting claims.
+    The entry is evaluated once, on the scan grid, which holds 1..n-2 and
+    n-2.5 exactly; the zeros, the midpoint and the minimum are read from it.
     """
     if n < 3:
         raise DimensionTooSmallError("witness construction needs n >= 3")
@@ -179,37 +176,26 @@ def tridiagonal_witness(n: int, seed: int) -> WitnessReport:
     dec = spectral_decompose(A)
     report = check_dn(A, dec=dec)
     f = entry_exppoly(dec, 0, n - 1)
-    miss = np.abs(eval_exppoly(f, np.arange(1.0, n - 1))).max()
+    ts = scan.grid()
+    all_vals = eval_exppoly(f, ts)
+    miss = np.abs(all_vals[np.searchsorted(ts, np.arange(1.0, n - 1))]).max()
     if not miss <= scan.entry_tol:
         raise UnresolvedWitnessError(f"witness n={n} seed={seed}: entry (1,{n}) misses its "
                                      f"zeros at t = 1..{n - 2} by {miss:.3g} > entry_tol")
-
     t_mid = n - 2.5
-    mid_val = eval_exppoly(f, t_mid)
+    mid_val = all_vals[np.searchsorted(ts, t_mid)]
     found = negative_intervals(f, scan)
-    window = None
-    for iv in found:
-        if iv.lo <= t_mid <= iv.hi:
-            window = (iv.lo, iv.hi)
-            break
-    window_ok = (window is not None
-                 and window[0] >= n - 3 - 1e-6 and window[1] <= n - 2 + 1e-6)
-
-    ts = scan.grid()
-    all_vals = eval_exppoly(f, ts)
-    tail_vals = all_vals[ts >= n - 2 - 1e-12]
-    tail_ok = bool((tail_vals >= -scan.entry_tol).all())
-
+    window = next(((iv.lo, iv.hi) for iv in found if iv.lo <= t_mid <= iv.hi), None)
+    window_ok = window is not None and window[0] >= n - 3 - 1e-6 and window[1] <= n - 2 + 1e-6
+    tail_ok = bool((all_vals[ts >= n - 2 - 1e-12] >= -scan.entry_tol).all())
     k = int(np.argmin(all_vals))
     critexp = max((iv.hi for iv in found), default=0.0)
 
     claims = (
         ("matrix is DN, invertible, irreducible",
          report.is_dn and report.is_invertible and report.is_irreducible),
-        (f"entry (1,{n}) of A^t negative at t = {t_mid:g}",
-         bool(mid_val < -scan.entry_tol)),
-        (f"negativity window of entry (1,{n}) lies inside ({n - 3}, {n - 2})",
-         window_ok),
+        (f"entry (1,{n}) of A^t negative at t = {t_mid:g}", bool(mid_val < -scan.entry_tol)),
+        (f"negativity window of entry (1,{n}) lies inside ({n - 3}, {n - 2})", window_ok),
         (f"entry (1,{n}) of A^t >= -entry_tol for grid t >= {n - 2}", tail_ok),
     )
     return WitnessReport(
@@ -234,20 +220,13 @@ def three_eigenvalue_matrix(kind: str, params=None) -> SymMatrix:
     distinct eigenvalues.
     """
     if kind in ("cycle4", "cycle5"):
-        m = 4 if kind == "cycle4" else 5
-        a = np.zeros((m, m))
-        for i in range(m):
-            a[i, (i + 1) % m] = 1.0
-            a[(i + 1) % m, i] = 1.0
-        return SymMatrix.from_array(a + 2.0 * np.eye(m))
+        eye = np.eye(4 if kind == "cycle4" else 5)
+        return SymMatrix.from_array(np.roll(eye, 1, 1) + np.roll(eye, -1, 1) + 2.0 * eye)
     if kind == "custom":
         vectors, shift = params
         vecs = [np.asarray(v, dtype=float) for v in vectors]
         n = vecs[0].shape[0]
-        a = shift * np.eye(n)
-        for v in vecs:
-            a = a + np.outer(v, v)
-        A = SymMatrix.from_array(a)
+        A = SymMatrix.from_array(sum((np.outer(v, v) for v in vecs), shift * np.eye(n)))
         distinct = spectral_decompose(A).group_starts.size
         if distinct > 3:
             raise TooManyEigenvaluesError(f"custom construction has {distinct} eigenvalues")
@@ -397,11 +376,22 @@ class SearchSummary:
 SEARCH_FAMILIES = ("gram", "tridiagonal", "mixed")
 
 
+def _search_draw(n: int, family: str, seed: int, trial: int) -> SymMatrix:
+    """Trial ``trial``'s matrix from default_rng([seed, trial]): "mixed" tosses
+    for the family first, and a Gram matrix draws its rank in 1..n."""
+    rng = np.random.default_rng([seed, trial])
+    if family == "mixed":
+        family = "gram" if rng.random() < 0.5 else "tridiagonal"
+    if family == "gram":
+        return _random_gram(n, int(rng.integers(1, n + 1)), rng)
+    return random_tridiagonal_dn(n, rng)
+
+
 def search_critical_exponent(n: int, trials: int, seed: int,
                              family: str = "mixed") -> SearchSummary:
     """Draw ``trials`` random DN matrices and record the largest empirical
-    critical exponent seen, the matrix attaining it, and a histogram."""
-    from .enumeration import DimensionTooLargeError
+    critical exponent seen, the first trial attaining it (its matrix drawn
+    again from its seed), and a histogram."""
     if n > 6:
         raise DimensionTooLargeError("search capped at n=6")
     if n < 2:
@@ -410,37 +400,19 @@ def search_critical_exponent(n: int, trials: int, seed: int,
         raise ValueError(f"unknown family {family!r}; pick from {SEARCH_FAMILIES}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    values = np.empty(trials)
-    best = -1.0
-    best_A = None
-    best_trial = -1
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        pick = family
-        if family == "mixed":
-            pick = "gram" if rng.random() < 0.5 else "tridiagonal"
-        if pick == "gram":
-            rank = int(rng.integers(1, n + 1))
-            A = _random_gram(n, rank, rng)
-        else:
-            A = random_tridiagonal_dn(n, rng)
-        val = empirical_critical_exponent(A)
-        values[trial] = val
-        if val > best:
-            best, best_A, best_trial = val, A, trial
-    top = crude_bound(n) + 2.0
-    edges = np.arange(0.0, top + 0.5, 0.5)
-    counts, edges = np.histogram(values, bins=edges)
-    hist = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
-                 for i in range(len(counts)))
+    values = np.array([empirical_critical_exponent(_search_draw(n, family, seed, trial))
+                       for trial in range(trials)])
+    k = int(np.argmax(values))  # the first maximum
+    A = _search_draw(n, family, seed, k)
+    counts, edges = np.histogram(values, bins=np.arange(0.0, crude_bound(n) + 2.5, 0.5))
     return SearchSummary(
         n=n,
         trials=trials,
         seed=seed,
         family=family,
-        max_found=float(best),
-        argmax=best_A,
-        argmax_trial=best_trial,
-        argmax_distinct_eigenvalues=spectral_decompose(best_A).group_starts.size,
-        histogram=hist,
+        max_found=float(values[k]),
+        argmax=A,
+        argmax_trial=k,
+        argmax_distinct_eigenvalues=spectral_decompose(A).group_starts.size,
+        histogram=tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())),
     )

@@ -50,9 +50,6 @@ class SignChangeMatrix:
     # diagnostic only: equal counts mean equal W, whatever their provenance
     generic: bool = field(default=True, compare=False)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.w, dtype=int)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.w[i][j]

@@ -74,7 +74,7 @@ def validate_sign_change_matrix_oracle(W: dc.SignChangeMatrix) -> ValidationResu
     if (w == tuple(zip(*w)) and min(map(min, w)) >= 0 and max(map(max, w)) <= cap
             and not any(w[i][i] for i in range(W.n)) and all(r.count(cap) <= 1 for r in w)):
         return ValidationResult(ok=True, violations=())
-    arr = W.as_array()
+    arr = np.array(W.w, dtype=int)
     at_cap = arr == cap
     diag = np.diagonal(arr)
     over = arr.max(axis=1, initial=0) > cap

@@ -19,7 +19,7 @@ def _entry_bounds_oracle(W):
     """The entry rules applied one entry at a time: the minimum over the
     rules that apply, math.inf when none does."""
     n = W.n
-    arr = W.as_array()
+    arr = np.array(W.w, dtype=int)
     row_ok = [bool(arr[i].max(initial=0) <= 4) for i in range(n)]
     row_m = [int((arr[i] > 2).sum()) for i in range(n)]
     bounds = []
@@ -42,12 +42,12 @@ def _entry_bounds_oracle(W):
 
 
 def _entry_bounds_numpy(W):
-    """Oracle: the entry rules as array expressions on ``W.as_array()``, the
+    """Oracle: the entry rules as array expressions on ``W.w`` as an array, the
     form the tuple code replaced, behind the same validation."""
     result = dc.validate_sign_change_matrix(W)
     if not result.ok:
         raise InvalidWError("; ".join(result.violations))
-    arr = W.as_array()
+    arr = np.array(W.w, dtype=int)
     row = np.where((arr <= 4).all(axis=1), (arr > 2).sum(axis=1) + 1.0, math.inf)
     bound = np.minimum.outer(row, row)
     bound[arr == 2] = 1.0
@@ -171,7 +171,7 @@ class TestEntryBounds:
 
     def test_symmetric_result(self, class_sets):
         for W in class_sets[5]:
-            arr = dc.entry_bounds_from_w(W).as_array()
+            arr = np.array(dc.entry_bounds_from_w(W).bound, dtype=float)
             assert (arr == arr.T).all()
             assert (np.diag(arr) == 0).all()
 

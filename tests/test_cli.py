@@ -321,15 +321,21 @@ class TestSearch:
         assert f"error: search needs n >= 2, got n={n}" in capsys.readouterr().err
 
     # sha256 of the --out JSON, computed before the scan moved to array run
-    # detection and one power table per matrix; the scan must not move a bit
-    @pytest.mark.parametrize("n, digest", [
-        (5, "acbcb0470618e1e5752129a9855942486204343293dad378303b77df075ceef9"),
-        (6, "a2ffe2c58cdf4df53d77d48f602152492941e1072bd2225db0e75877f11d9681"),
-    ], ids=["n5", "n6"])
-    def test_json_pinned(self, n, digest, tmp_path, capsys):
+    # detection and one power table per matrix (mixed), and before each
+    # trial's draw rule moved into one helper (gram, tridiagonal); the scan
+    # and the draws must not move a bit
+    @pytest.mark.parametrize("n, family, digest", [
+        (5, "mixed", "acbcb0470618e1e5752129a9855942486204343293dad378303b77df075ceef9"),
+        (6, "mixed", "a2ffe2c58cdf4df53d77d48f602152492941e1072bd2225db0e75877f11d9681"),
+        (5, "gram", "da9bc05bd857ee846c9fc373b0fcbd6a467f1fbccb935fe87d63ff40bed5afd0"),
+        (5, "tridiagonal", "238c57419ff17a6f611ab3fb0a8077b1de49c837b98c842149e62333cf09b118"),
+    ], ids=["n5", "n6", "gram-n5", "tridiagonal-n5"])
+    def test_json_pinned(self, n, family, digest, tmp_path, capsys):
         out = tmp_path / "search.json"
-        assert main(["search", "--n", str(n), "--trials", "100", "--seed", "0",
-                     "--out", str(out)]) == 0
+        argv = ["search", "--n", str(n), "--trials", "100", "--seed", "0", "--out", str(out)]
+        if family != "mixed":  # the default family
+            argv += ["--family", family]
+        assert main(argv) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

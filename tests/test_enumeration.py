@@ -310,7 +310,7 @@ class TestCanonicalization:
         else:
             A = dc.random_dn(n, int(rng.integers(1, n + 1)), int(rng.integers(2**31)))
             W = dc.sign_change_matrix(A)
-            arr, generic = W.as_array(), W.generic
+            arr, generic = np.array(W.w, dtype=int), W.generic
         want = _canonical_oracle(arr)
         p = rng.permutation(n)
         for a in (arr, arr[np.ix_(p, p)]):
@@ -326,7 +326,7 @@ class TestCanonicalization:
         ws = dc.known_classes(5) if n == "reference" else dc.enumerate_w_classes(n)
         rng = np.random.default_rng(len(ws))
         for W in ws:
-            arr = W.as_array()
+            arr = np.array(W.w, dtype=int)
             want = _canonical_oracle(arr)
             p = rng.permutation(W.n)
             relabeled = dc.SignChangeMatrix(n=W.n, w=tuple(map(tuple, arr[np.ix_(p, p)].tolist())))
@@ -380,8 +380,8 @@ class TestFlipWords:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_raw_keys_are_the_w_of_word_sorted_patterns(self, n):
         # each admissible pattern with its rows in increasing flip-word order
-        ws = np.stack([pattern_to_w(SignPattern(n=n, s=tuple(sorted(p.s, key=_flip_word))))
-                       .as_array() for p in dc.enumerate_sign_patterns(n)])
+        ws = np.array([pattern_to_w(SignPattern(n=n, s=tuple(sorted(p.s, key=_flip_word)))).w
+                       for p in dc.enumerate_sign_patterns(n)], dtype=int)
         keys = _raw_w_from_row_sets(n)
         assert keys.dtype == np.uint64
         assert keys.tolist() == sorted(set(_pack_keys(ws).tolist()))
@@ -580,7 +580,7 @@ class TestClassSets:
         # oracle: the brute-force canonical form of the W of every ordered
         # pattern, one by one
         raw = {pattern_to_w(p) for p in dc.enumerate_sign_patterns(n)}
-        direct = sorted({_canonical_oracle(w.as_array()) for w in raw})
+        direct = sorted({_canonical_oracle(np.array(w.w, dtype=int)) for w in raw})
         assert [w.w for w in dc.enumerate_w_classes(n)] == direct
 
     def test_all_classes_validate_and_are_canonical(self, class_sets):
@@ -637,7 +637,7 @@ class TestClassSets:
             if len(set(rows)) < 6 or len(set(zip(*rows))) < 6:
                 continue
             W = pattern_to_w(SignPattern(n=6, s=rows))
-            assert _canonical_oracle(W.as_array()) in allowed
+            assert _canonical_oracle(np.array(W.w, dtype=int)) in allowed
             checked += 1
 
     def test_soundness_random_generic(self, class_sets):

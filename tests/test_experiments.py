@@ -1,5 +1,6 @@
 """Witness constructions, theorem spot checks, and randomized searches."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -110,6 +111,29 @@ class TestTridiagonalWitness:
                             lambda f, t: real(f, t) * np.nan)
         with pytest.raises(UnresolvedWitnessError, match="by nan > entry_tol"):
             dc.tridiagonal_witness(4, seed=0)
+
+    def test_scan_grid_holds_the_read_points(self, monkeypatch):
+        # the witness reads f(1..n-2) and f(n-2.5) off its scan grid, so the
+        # grid must hold them exactly; checked for 0.01 steps from t = 0.
+        # The entry is stubbed so that every n resolves: only the scan counts.
+        monkeypatch.setattr(dc.experiments, "eval_exppoly",
+                            lambda f, t: np.zeros(np.shape(t)))
+        monkeypatch.setattr(dc.experiments, "negative_intervals", lambda f, scan: ())
+        for n in range(3, 41):
+            scan = dc.tridiagonal_witness(n, seed=0).scan
+            assert (scan.t_min, scan.step) == (0.0, 0.01)
+            read = np.append(np.arange(1.0, n - 1), n - 2.5)
+            assert np.isin(read, scan.grid()).all(), n
+
+    def test_reports_pinned(self):
+        # sha256 of the reports for n = 3..12 and seeds 0..59, computed while
+        # the witness still evaluated its zeros and midpoint on their own
+        digest = hashlib.sha256()
+        for n in range(3, 13):
+            for seed in range(60):
+                digest.update(dc.tridiagonal_witness(n, seed).to_json().encode())
+        assert digest.hexdigest() == (
+            "36c7aff1859adfafacecac436c57cdfcb5c2f59ec9c3a3b0a4634195208f4a53")
 
     def test_error_type_is_private(self):
         assert issubclass(UnresolvedWitnessError, ValueError)

@@ -363,13 +363,14 @@ def _raise_timeout(signum, frame):
 
 def _entry_exppoly_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
     """The per-entry merge loop that entry_exppoly replaced: clamp, then merge
-    each eigenvalue into the last base while within MERGE_TOL of it."""
+    each eigenvalue into the last base while within MERGE_TOL of it, except
+    that a zero never joins a positive base."""
     lam = clamp_psd(dec.eigenvalues)
     raw_coeff = dec.eigenvectors[i, :] * dec.eigenvectors[j, :]
     scale = max(1.0, float(lam[0]))
     bases, coeffs = [], []
     for k in range(lam.size):
-        if bases and bases[-1] - lam[k] <= MERGE_TOL * scale:
+        if bases and bases[-1] - lam[k] <= MERGE_TOL * scale and not lam[k] <= 0.0 < bases[-1]:
             coeffs[-1] += float(raw_coeff[k])
         else:
             bases.append(float(lam[k]))
@@ -385,10 +386,11 @@ def _entry_exppoly_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
 
 def _generic_oracle(dec):
     """The generic flag as computed before the groups moved into the
-    decomposition: neighbouring eigenvalues compared, then the coordinates."""
+    decomposition: neighbouring eigenvalues compared (a zero after a positive
+    value always counts as distinct), then the coordinates."""
     lam = dec.eigenvalues
     tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
-    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:]) if a - b > tol)
+    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:]) if a - b > tol or b <= 0.0 < a)
     u = np.abs(dec.eigenvectors)
     return distinct == dec.n and bool((u.min(axis=0) > ZERO_COORD_TOL * u.max(axis=0)).all())
 
@@ -401,7 +403,11 @@ def _with_spectrum(lam, seed):
 def _policy_corpus():
     """Seeded matrices for n = 2..8: Gram matrices of full and deficient rank,
     tridiagonal DN, I + rank 2 (eigenvalue 1 repeated n-2 times), and spectra
-    with a chain of eigenvalues spaced a fraction of MERGE_TOL apart."""
+    with a chain of eigenvalues spaced a fraction of MERGE_TOL apart; for
+    n = 3..6, spectra (lam_1, 5e-9, 0, ..., 0) whose zero lies within
+    MERGE_TOL of a positive eigenvalue; and the 3x3 such matrix
+    3 v v^T + 5e-9 w w^T."""
+    yield _zero_beside_tiny()
     for n in range(2, 9):
         for seed in range(6):
             rng = np.random.default_rng([n, seed])
@@ -413,6 +419,10 @@ def _policy_corpus():
             lam = np.sort(rng.uniform(0.5, 3.0, size=n))[::-1]
             lam[1:] = np.minimum(lam[1:], lam[1] - 0.7e-8 * 3.0 * np.arange(n - 1))
             yield _with_spectrum(lam, 300 * n + seed)
+            if 3 <= n <= 6:
+                lam = np.zeros(n)
+                lam[:2] = rng.uniform(0.5, 3.0), 5e-9
+                yield _with_spectrum(lam, 400 * n + seed)
 
 
 class TestEigenvaluePolicy:
@@ -435,7 +445,7 @@ class TestEigenvaluePolicy:
                     assert W[i, j] == dc.descartes_bound(g)
             assert W.generic == _generic_oracle(dec)
             count += 1
-        assert count == 7 * 6 * 5
+        assert count == 7 * 6 * 5 + 4 * 6 + 1
 
     def test_chain_counts_groups_not_links(self):
         # gaps of 2e-8 under a tolerance of 3e-8: the chain 2, 2-2e-8, 2-4e-8

@@ -104,7 +104,7 @@ class TestConstruction:
             n = int(rng.integers(2, 7))
             b = rng.uniform(size=(n, n))
             W = dc.sign_change_matrix(sym(b @ b.T))
-            arr = W.as_array()
+            arr = np.array(W.w, dtype=int)
             assert (arr == arr.T).all()
             assert (np.diag(arr) == 0).all()
 
@@ -121,7 +121,7 @@ class TestConstruction:
 def _violations_oracle(W):
     """The structural checks one row and column at a time, in report order."""
     n = W.n
-    arr = W.as_array()
+    arr = np.array(W.w, dtype=int)
     violations = []
     if not (arr == arr.T).all():
         violations.append("not symmetric")
@@ -161,7 +161,7 @@ def near_w(draw):
 def _validate_oracle(W):
     """The validation that the fast path replaced: every array check first,
     then the verdict."""
-    arr = W.as_array()
+    arr = np.array(W.w, dtype=int)
     cap = W.n - 1
     at_cap = arr == cap
     diag = np.diagonal(arr)
