@@ -24,7 +24,7 @@ from .certify import (
     lower_bound,
 )
 from .enumeration import _count_sign_patterns, enumerate_sign_patterns, enumerate_w_classes
-from .exppoly import COEFF_ZERO_TOL, DEFAULT_STEP, ScanConfig, grid_entry_values
+from .exppoly import DEFAULT_STEP, ScanConfig, grid_entry_values
 from .matcore import (
     PSD_TOL,
     SYM_TOL,
@@ -94,7 +94,7 @@ def cmd_power(args) -> int:
 
 def cmd_signchange(args) -> int:
     A = _read_matrix(args.file, args.sym_tol)
-    W = sign_change_matrix(spectral_decompose(A), zero_tol=args.zero_tol)
+    W = sign_change_matrix(spectral_decompose(A))
     result = validate_sign_change_matrix(W)
     text = format_sign_change_matrix(W)
     sys.stdout.write(text)
@@ -281,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signchange", help="sign change matrix W of a matrix file")
     add_file(p)
-    p.add_argument("--zero-tol", type=_tolerance, default=COEFF_ZERO_TOL,
-                   help="relative coefficient zero tolerance (default %(default)g)")
     p.set_defaults(func=cmd_signchange)
 
     p = sub.add_parser("enumerate", help="enumerate sign patterns / W classes")

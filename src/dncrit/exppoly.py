@@ -25,8 +25,8 @@ from .matcore import (
     spectral_decompose,
 )
 
-COEFF_ZERO_TOL = 1e-10   # relative: a coefficient below this times max|c| is
-                         # ignored by sign counting (still used in evaluation)
+COEFF_ZERO_TOL = 1e-10   # relative: off a generic decomposition, a coefficient at or
+                         # below this times max|c| has no sign (still evaluated)
 DEFAULT_STEP = 0.01
 DEFAULT_ENDPOINT_TOL = 1e-9
 DEFAULT_ENTRY_TOL = 1e-12
@@ -36,9 +36,9 @@ DEFAULT_ENTRY_TOL = 1e-12
 class ExpPoly:
     """f(t) = sum c_k * b_k^t with bases strictly decreasing and positive.
 
-    All merged terms are kept for evaluation; ``sign_cut`` is the absolute
-    magnitude below which a coefficient is treated as zero when counting sign
-    changes.  ``singular`` records a zero eigenvalue, whose group (base and
+    All merged terms are kept for evaluation; a coefficient at or below the
+    absolute ``sign_cut`` has no sign (see ``entry_exppoly``).  ``singular``
+    records a zero eigenvalue, whose group (base and
     coefficients) was dropped during construction: f then only represents
     the entry for t > 0 (and for t = 0 up to the dropped rank-deficient part).
     """
@@ -59,10 +59,6 @@ class ExpPoly:
 
     def __call__(self, t):
         return eval_exppoly(self, t)
-
-    def significant_coefficients(self) -> tuple[float, ...]:
-        """Coefficients with the below-cut ones replaced by exact zeros."""
-        return tuple(0.0 if abs(c) <= self.sign_cut else c for c in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -114,19 +110,19 @@ class NegativeInterval:
     hi_clipped: bool = False
 
 
-def entry_exppoly(dec: SpectralDecomposition, i: int, j: int,
-                  zero_tol: float = COEFF_ZERO_TOL) -> ExpPoly:
+def entry_exppoly(dec: SpectralDecomposition, i: int, j: int) -> ExpPoly:
     """Exponential polynomial of entry (i, j), 0-based: the decomposition's
-    ``entry_bases`` and row [i, j] of its ``entry_coefficients``.
-    Coefficients at or below zero_tol * max|c| stay in the term list but are
-    excluded from sign counting via sign_cut."""
+    ``entry_bases`` and row [i, j] of its ``entry_coefficients``.  On a
+    ``generic`` decomposition every coefficient has a sign and sign_cut is 0;
+    otherwise the coefficients at or below COEFF_ZERO_TOL * max|c| stay in
+    the term list but are left out of sign counting."""
     n = dec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
     coefficients = tuple(dec.entry_coefficients[i, j].tolist())
+    cut = 0.0 if dec.generic else COEFF_ZERO_TOL * max(map(abs, coefficients), default=0.0)
     return ExpPoly(bases=tuple(dec.entry_bases.tolist()), coefficients=coefficients,
-                   singular=dec.singular,
-                   sign_cut=zero_tol * max(map(abs, coefficients), default=0.0))
+                   singular=dec.singular, sign_cut=cut)
 
 
 def eval_exppoly(f: ExpPoly, t):

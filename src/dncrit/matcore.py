@@ -7,8 +7,8 @@ spectral sense, sum(lambda_k^t x_k x_k^T), which is the object all other
 modules analyze.
 
 Everything here is immutable and side-effect free; values can be shared
-freely across threads.  A decomposition's eigenvalue groups, clamped
-eigenvalues and entry coefficients are filled in on first use, from its
+freely across threads.  A decomposition's eigenvalue groups, generic flag,
+clamped eigenvalues and entry coefficients are filled in on first use, from its
 immutable arrays, so two threads racing on them compute the same value.
 """
 
@@ -28,6 +28,7 @@ PSD_TOL = 1e-10          # eigenvalue >= -PSD_TOL * max(1, lam_1) counts as nonn
 INVERT_TOL = 1e-10       # lam_n > INVERT_TOL * max(1, lam_1) counts as invertible
 SIGN_TOL = 1e-8          # eigenvector sign canonicalization threshold
 MERGE_TOL = 1e-8         # eigenvalues closer than MERGE_TOL * max(1, lam_1) coincide
+ZERO_COORD_TOL = 1e-8    # an eigenvector coordinate <= this times its column's largest is zero
 EIG_SNAP_TOL = 1e-13     # |lam| <= EIG_SNAP_TOL * max |lam| is snapped to exact zero
 
 
@@ -115,7 +116,8 @@ class SpectralDecomposition:
     SIGN_TOL is positive.  The eigenvalue policy every module reads lives
     here, each part computed at most once and read-only: ``group_starts``
     says which eigenvalues count as equal, zero always a group of its own,
-    and ``singular`` whether there is a zero.  The entry polynomials
+    ``singular`` whether there is a zero, and ``generic`` whether every
+    coefficient has a sign (see ``signchange``).  The entry polynomials
     f_ij(t) = sum_k c_ijk b_k^t follow from it: ``entry_bases`` are the b_k
     of the other groups, ``entry_coefficients`` the c_ijk of every entry.
     """
@@ -134,6 +136,14 @@ class SpectralDecomposition:
         starts = _group_starts(self.eigenvalues)
         starts.setflags(write=False)
         return starts
+
+    @cached_property
+    def generic(self) -> bool:
+        """n eigenvalue groups and no eigenvector coordinate at or below
+        ZERO_COORD_TOL times its column's largest: no coefficient is zero."""
+        coords = np.abs(self.eigenvectors)
+        return self.group_starts.size == self.n and bool(
+            (coords.min(axis=0) > ZERO_COORD_TOL * coords.max(axis=0)).all())
 
     @cached_property
     def clamped_eigenvalues(self) -> np.ndarray:

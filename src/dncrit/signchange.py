@@ -1,14 +1,23 @@
 """Sign change matrices.
 
 W[i][j] is the number of sign changes in the coefficient sequence of the
-(i, j) entry polynomial (bases in decreasing order, zero coefficients
-skipped).  It bounds the number of real roots of that entry, hence how often
-the entry can turn negative as t grows.  The coefficients u_ik u_jk of entry
-(j, i) are those of (i, j), and a diagonal entry's are sums of squares, so
-W is symmetric with a zero diagonal and only its n(n-1)/2 pairs i < j are
-counted.  Each pair's coefficients are a row of the decomposition's
-coefficient tensor, built once for all pairs, and ``descartes_bound``
-counts their signs in one pass.
+(i, j) entry polynomial (bases in decreasing order, coefficients without a
+sign skipped).  It bounds the number of real roots of that entry, hence how
+often the entry can turn negative as t grows.  The coefficients u_ik u_jk of
+entry (j, i) are those of (i, j), and a diagonal entry's are sums of squares,
+so W is symmetric with a zero diagonal and only its n(n-1)/2 pairs i < j are
+counted, each a row of the decomposition's coefficient tensor, built once
+for all pairs, whose signs ``descartes_bound`` counts in one pass.
+
+Which W a generic matrix gets.  On a ``generic`` decomposition no
+coefficient is zero or cut, so W[i][j] counts the sign changes of s_ik s_jk
+along k, s = sign(U): popcount(flip_i XOR flip_j), as in the enumeration.
+For an invertible DN matrix s is an admissible pattern, so W is in an
+enumerated class: the Perron column is positive (lambda_1 is simple with a
+nonnegative eigenvector); flipping columns to make row 1 positive keeps
+every s_ik s_jk; and no two rows, or columns, of an orthogonal U without
+zeros agree in sign everywhere or nowhere, as their inner product would not
+vanish.  A singular matrix's W omits the zero group.
 
 Structural facts used downstream: the diagonal is zero; each row and column
 holds at most one value as large as n-1 and nothing larger; off-diagonal
@@ -22,13 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .exppoly import COEFF_ZERO_TOL, descartes_bound, entry_exppoly
+from .exppoly import descartes_bound, entry_exppoly
 from .matcore import MatrixFormatError, SymMatrix, spectral_decompose, _read_square_rows
-
-ZERO_COORD_TOL = 1e-8    # relative: an eigenvector coordinate at or below this
-                         # times the column's largest coordinate counts as zero
 
 
 class InvalidWError(ValueError):
@@ -40,9 +44,9 @@ class InvalidWError(ValueError):
 class SignChangeMatrix:
     """Integer matrix of per-entry sign-change counts.
 
-    ``generic`` records whether the source matrix had n distinct eigenvalues
-    and eigenvectors free of (numerically) zero coordinates; the structural
-    row/column limits are only guaranteed in that case.
+    ``generic`` is the source decomposition's flag: n eigenvalue groups and
+    no (numerically) zero eigenvector coordinate.  Only then is W the W of
+    a sign pattern and the structural row/column limits guaranteed.
     """
 
     n: int
@@ -61,29 +65,18 @@ class ValidationResult:
     violations: tuple[str, ...]
 
 
-def sign_change_matrix(dec, zero_tol: float = COEFF_ZERO_TOL) -> SignChangeMatrix:
-    """Compute W from a spectral decomposition (a SymMatrix is decomposed
-    on the fly).
-
-    Only the n(n-1)/2 entries i < j build an entry polynomial; W is
-    symmetric with a zero diagonal (see the module docstring).
-
-    The generic flag demands n eigenvalue groups (``dec.group_starts``) and
-    no eigenvector coordinate within ZERO_COORD_TOL of zero (relative to the
-    largest coordinate of that eigenvector); only then are the structural
-    row and column limits guaranteed.
-    """
+def sign_change_matrix(dec) -> SignChangeMatrix:
+    """W of a spectral decomposition (a SymMatrix is decomposed on the fly)
+    with its ``generic`` flag: one entry polynomial per pair i < j, its sign
+    cut set by ``dec.generic`` (see the module docstring)."""
     if isinstance(dec, SymMatrix):
         dec = spectral_decompose(dec)
     n = dec.n
-    coords = np.abs(dec.eigenvectors)
-    coord_ok = bool((coords.min(axis=0) > ZERO_COORD_TOL * coords.max(axis=0)).all())
     w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w[i][j] = w[j][i] = descartes_bound(entry_exppoly(dec, i, j, zero_tol))
-    return SignChangeMatrix(n=n, w=tuple(map(tuple, w)),
-                            generic=dec.group_starts.size == n and coord_ok)
+            w[i][j] = w[j][i] = descartes_bound(entry_exppoly(dec, i, j))
+    return SignChangeMatrix(n=n, w=tuple(map(tuple, w)), generic=dec.generic)
 
 
 def component_bound(w: int) -> int:
@@ -98,10 +91,12 @@ def component_bound(w: int) -> int:
 def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
     """Check the structural limits a generic DN matrix imposes on W.
 
-    One pass over the row and column tuples.  Violations are reported with
-    1-based positions so they read naturally next to printed matrices.
+    A W that is not n x n reports its shape alone; any other gets one pass
+    over its row and column tuples.  Positions are 1-based, as printed.
     """
     w, cap = W.w, W.n - 1
+    if len(w) != W.n or any(len(r) != W.n for r in w):
+        return ValidationResult(ok=False, violations=(f"W is not {W.n} x {W.n}",))
     cols = tuple(zip(*w))
     violations = [] if w == cols else ["not symmetric"]
     violations += [f"diagonal entry ({i + 1},{i + 1}) = {r[i]} nonzero"

@@ -13,6 +13,7 @@ import pytest
 import dncrit as dc
 from dncrit.certify import k_of_n
 from dncrit.exppoly import (
+    COEFF_ZERO_TOL,
     ExpPoly,
     NegativeInterval,
     ScanConfig,
@@ -20,6 +21,7 @@ from dncrit.exppoly import (
     eval_exppoly,
     grid_entry_values,
 )
+from dncrit.matcore import MERGE_TOL, ZERO_COORD_TOL
 from dncrit.signchange import ValidationResult, component_bound
 
 EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
@@ -39,6 +41,24 @@ def sign_changes(seq) -> int:
             count += 1
         prev = s
     return count
+
+
+def generic_oracle(dec: dc.SpectralDecomposition) -> bool:
+    """The generic flag as computed before the groups moved into the
+    decomposition: neighbouring eigenvalues compared (a zero after a positive
+    value always counts as distinct), then the coordinates."""
+    lam = dec.eigenvalues
+    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
+    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:]) if a - b > tol or b <= 0.0 < a)
+    u = np.abs(dec.eigenvectors)
+    return distinct == dec.n and bool((u.min(axis=0) > ZERO_COORD_TOL * u.max(axis=0)).all())
+
+
+def sign_cut_oracle(dec: dc.SpectralDecomposition, cmax: float) -> float:
+    """The sign cut of an entry whose largest |coefficient| is cmax: 0 on a
+    generic decomposition (``generic_oracle``), COEFF_ZERO_TOL * cmax on any
+    other."""
+    return 0.0 if generic_oracle(dec) else COEFF_ZERO_TOL * cmax
 
 
 def pattern_to_w(p: dc.SignPattern) -> dc.SignChangeMatrix:
@@ -190,6 +210,77 @@ def scan_corpus():
             v = rng.uniform(0.0, 1.0, size=(n, 2))
             out.append((f"I + rank 2 n={n} #{k}", dc.SymMatrix.from_array(np.eye(n) + v @ v.T)))
     return out
+
+
+def with_spectrum(lam, seed) -> dc.SymMatrix:
+    """Q diag(lam) Q^T for a seeded random orthogonal Q."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(lam), len(lam))))
+    return dc.SymMatrix.from_array(q @ np.diag(lam) @ q.T)
+
+
+def zero_beside_tiny() -> dc.SymMatrix:
+    """A = 3 v v^T + 5e-9 w w^T: eigenvalues 3, 5e-9 and 0, the last two
+    closer than MERGE_TOL * 3."""
+    v = np.ones(3) / np.sqrt(3.0)
+    w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    return dc.SymMatrix.from_array(3.0 * np.outer(v, v) + 5e-9 * np.outer(w, w))
+
+
+def policy_corpus():
+    """Seeded matrices for n = 2..8: Gram matrices of full and deficient rank,
+    tridiagonal DN, I + rank 2 (eigenvalue 1 repeated n-2 times), and spectra
+    with a chain of eigenvalues spaced a fraction of MERGE_TOL apart; for
+    n = 3..6, spectra (lam_1, 5e-9, 0, ..., 0) whose zero lies within
+    MERGE_TOL of a positive eigenvalue; and the 3x3 such matrix
+    3 v v^T + 5e-9 w w^T."""
+    yield zero_beside_tiny()
+    for n in range(2, 9):
+        for seed in range(6):
+            rng = np.random.default_rng([n, seed])
+            yield dc.random_dn(n, n, 100 * n + seed)
+            yield dc.random_dn(n, max(1, n - 2), 200 * n + seed)
+            yield dc.random_tridiagonal_dn(n, rng)
+            v = rng.uniform(0.0, 1.0, size=(n, 2))
+            yield dc.SymMatrix.from_array(np.eye(n) + v @ v.T)
+            lam = np.sort(rng.uniform(0.5, 3.0, size=n))[::-1]
+            lam[1:] = np.minimum(lam[1:], lam[1] - 0.7e-8 * 3.0 * np.arange(n - 1))
+            yield with_spectrum(lam, 300 * n + seed)
+            if 3 <= n <= 6:
+                lam = np.zeros(n)
+                lam[:2] = rng.uniform(0.5, 3.0), 5e-9
+                yield with_spectrum(lam, 400 * n + seed)
+
+
+def lanczos_dn(lam: np.ndarray, weights: np.ndarray) -> dc.SymMatrix:
+    """The Jacobi matrix with eigenvalues lam (> 0) whose unit eigenvectors
+    start with sqrt(weights): Lanczos on diag(lam) from that start vector,
+    with full reorthogonalization (Hochstadt 1967; de Boor & Golub 1978).
+    Its diagonal is positive and its off-diagonal the Lanczos norms, so it
+    is DN."""
+    n = lam.size
+    q = np.zeros((n, n))
+    q[:, 0] = np.sqrt(weights) / np.linalg.norm(np.sqrt(weights))
+    alpha, beta = np.zeros(n), np.zeros(n - 1)
+    for k in range(n):
+        v = lam * q[:, k]
+        alpha[k] = q[:, k] @ v
+        if k == n - 1:
+            break
+        for _ in range(2):  # Gram-Schmidt against every earlier vector, twice
+            v -= q[:, :k + 1] @ (q[:, :k + 1].T @ v)
+        beta[k] = np.linalg.norm(v)
+        q[:, k + 1] = v / beta[k]
+    return dc.SymMatrix.from_array(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+
+
+def spectral_data_draws(n: int, count: int, seed: int = 0):
+    """``count`` seeded ``lanczos_dn`` matrices at n: lam = exp(U(-6, 2))
+    sorted descending and Dirichlet(0.3) weights, both per draw from one
+    default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lam = np.sort(np.exp(rng.uniform(-6.0, 2.0, n)))[::-1]
+        yield lanczos_dn(lam, rng.dirichlet(0.3 * np.ones(n)))
 
 
 def corpus_specs():

@@ -361,6 +361,9 @@ class TestTopLevel:
         ["check", "DN", "--threads", "2"],
         ["scan", "DN", "--endpoint-tol", "0"],
         ["scan", "DN", "--entry-tol", "-1"],
+        ["signchange", "DN", "--zero-tol", "1e-9"],
+        ["signchange", "DN", "--zero-tol", "nan"],
+        ["signchange", "DN", "--zero-tol", "-1"],
     ])
     def test_flag_a_subcommand_does_not_read_rejected(self, dn_file, capsys, argv):
         assert main([dn_file if a == "DN" else a for a in argv]) == 2
@@ -369,7 +372,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("argv", [
         ["check", "DN", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
         ["power", "DN", "--t", "2", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
-        ["signchange", "DN", "--sym-tol", "1e-9", "--zero-tol", "1e-9"],
+        ["signchange", "DN", "--sym-tol", "1e-9"],
         ["scan", "DN", "--sym-tol", "1e-9", "--t-max", "1"],
         ["check", "DN", "--sym-tol", "0", "--psd-tol", "0"],
     ])
@@ -383,8 +386,8 @@ class TestTopLevel:
         ["check", "DN", "--sym-tol", "inf"],
         ["power", "DN", "--t", "2", "--psd-tol", "inf"],
         ["power", "DN", "--t", "2", "--sym-tol", "nan"],
-        ["signchange", "DN", "--zero-tol", "nan"],
-        ["signchange", "DN", "--zero-tol", "-1"],
+        ["signchange", "DN", "--sym-tol", "nan"],
+        ["signchange", "DN", "--sym-tol", "-1"],
         ["scan", "DN", "--sym-tol=-inf"],
     ])
     def test_tolerance_flags_need_finite_nonnegative(self, dn_file, capsys, argv):

@@ -10,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 import dncrit as dc
 from conftest import (
     dec_critical_exponent_oracle,
+    generic_oracle,
     grid_sign_alternations,
     matrix_critical_exponent_oracle,
     negative_intervals_oracle,
+    policy_corpus,
     random_three_eigenvalue,
     scan_corpus,
     sign_changes,
+    sign_cut_oracle,
+    with_spectrum,
+    zero_beside_tiny,
 )
 from dncrit.experiments import TooManyEigenvaluesError
 from dncrit.exppoly import (
-    COEFF_ZERO_TOL,
     ExpPoly,
     NegativeInterval,
     ScanConfig,
@@ -33,7 +37,6 @@ from dncrit.matcore import (
     _group_starts,
     clamp_psd,
 )
-from dncrit.signchange import ZERO_COORD_TOL
 
 
 def sym(a):
@@ -361,10 +364,10 @@ def _raise_timeout(signum, frame):
     raise TimeoutError("negative_intervals did not return")
 
 
-def _entry_exppoly_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
+def _entry_exppoly_oracle(dec, i, j):
     """The per-entry merge loop that entry_exppoly replaced: clamp, then merge
     each eigenvalue into the last base while within MERGE_TOL of it, except
-    that a zero never joins a positive base."""
+    that a zero never joins a positive base; the cut of ``sign_cut_oracle``."""
     lam = clamp_psd(dec.eigenvalues)
     raw_coeff = dec.eigenvectors[i, :] * dec.eigenvectors[j, :]
     scale = max(1.0, float(lam[0]))
@@ -381,54 +384,13 @@ def _entry_exppoly_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
         coeffs.pop()
     cmax = max((abs(c) for c in coeffs), default=0.0)
     return ExpPoly(bases=tuple(bases), coefficients=tuple(coeffs),
-                   singular=singular, sign_cut=zero_tol * cmax)
-
-
-def _generic_oracle(dec):
-    """The generic flag as computed before the groups moved into the
-    decomposition: neighbouring eigenvalues compared (a zero after a positive
-    value always counts as distinct), then the coordinates."""
-    lam = dec.eigenvalues
-    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
-    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:]) if a - b > tol or b <= 0.0 < a)
-    u = np.abs(dec.eigenvectors)
-    return distinct == dec.n and bool((u.min(axis=0) > ZERO_COORD_TOL * u.max(axis=0)).all())
-
-
-def _with_spectrum(lam, seed):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(lam), len(lam))))
-    return sym(q @ np.diag(lam) @ q.T)
-
-
-def _policy_corpus():
-    """Seeded matrices for n = 2..8: Gram matrices of full and deficient rank,
-    tridiagonal DN, I + rank 2 (eigenvalue 1 repeated n-2 times), and spectra
-    with a chain of eigenvalues spaced a fraction of MERGE_TOL apart; for
-    n = 3..6, spectra (lam_1, 5e-9, 0, ..., 0) whose zero lies within
-    MERGE_TOL of a positive eigenvalue; and the 3x3 such matrix
-    3 v v^T + 5e-9 w w^T."""
-    yield _zero_beside_tiny()
-    for n in range(2, 9):
-        for seed in range(6):
-            rng = np.random.default_rng([n, seed])
-            yield dc.random_dn(n, n, 100 * n + seed)
-            yield dc.random_dn(n, max(1, n - 2), 200 * n + seed)
-            yield dc.random_tridiagonal_dn(n, rng)
-            v = rng.uniform(0.0, 1.0, size=(n, 2))
-            yield sym(np.eye(n) + v @ v.T)
-            lam = np.sort(rng.uniform(0.5, 3.0, size=n))[::-1]
-            lam[1:] = np.minimum(lam[1:], lam[1] - 0.7e-8 * 3.0 * np.arange(n - 1))
-            yield _with_spectrum(lam, 300 * n + seed)
-            if 3 <= n <= 6:
-                lam = np.zeros(n)
-                lam[:2] = rng.uniform(0.5, 3.0), 5e-9
-                yield _with_spectrum(lam, 400 * n + seed)
+                   singular=singular, sign_cut=sign_cut_oracle(dec, cmax))
 
 
 class TestEigenvaluePolicy:
     def test_matches_per_entry_merge_oracle(self):
         count = 0
-        for A in _policy_corpus():
+        for A in policy_corpus():
             dec = dc.spectral_decompose(A)
             W = dc.sign_change_matrix(dec)
             for i in range(A.n):
@@ -443,7 +405,7 @@ class TestEigenvaluePolicy:
                     assert np.allclose(f.coefficients, g.coefficients,
                                        rtol=0.0, atol=1e-15 * cmax)
                     assert W[i, j] == dc.descartes_bound(g)
-            assert W.generic == _generic_oracle(dec)
+            assert W.generic == dec.generic == generic_oracle(dec)
             count += 1
         assert count == 7 * 6 * 5 + 4 * 6 + 1
 
@@ -451,7 +413,7 @@ class TestEigenvaluePolicy:
         # gaps of 2e-8 under a tolerance of 3e-8: the chain 2, 2-2e-8, 2-4e-8
         # spans more than the tolerance, so it is two groups, not one
         lam = np.array([3.0, 2.0, 2.0 - 2e-8, 2.0 - 4e-8, 1.0])
-        A = _with_spectrum(lam, 7)
+        A = with_spectrum(lam, 7)
         dec = dc.spectral_decompose(A)
         assert _group_starts(lam).size == 4
         assert dec.group_starts.size == 4
@@ -463,8 +425,11 @@ class TestEigenvaluePolicy:
             dc.check_three_eigenvalue_theorem(A)
 
     def test_computed_once_and_read_only(self):
-        for A, singular in ((tridiag(4), False), (sym(np.ones((3, 3))), True)):
+        for A, singular, generic in ((tridiag(4), False, True),
+                                     (sym(np.ones((3, 3))), True, False)):
             dec = dc.spectral_decompose(A)
+            assert dec.generic is generic and "generic" in vars(dec)
+            assert dec.generic is generic  # the cached value, read again
             for name in ("group_starts", "clamped_eigenvalues", "entry_bases",
                          "entry_coefficients"):
                 arr = getattr(dec, name)
@@ -484,14 +449,6 @@ class TestEigenvaluePolicy:
             assert dec.entry_bases.size == dec.group_starts.size - dec.singular, label
 
 
-def _zero_beside_tiny():
-    """A = 3 v v^T + 5e-9 w w^T: eigenvalues 3, 5e-9 and 0, the last two
-    closer than MERGE_TOL * 3."""
-    v = np.ones(3) / np.sqrt(3.0)
-    w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    return sym(3.0 * np.outer(v, v) + 5e-9 * np.outer(w, w))
-
-
 @st.composite
 def _zero_and_tiny_spectra(draw):
     """PSD matrices at n = 3..7 with one zero eigenvalue, one in
@@ -501,7 +458,7 @@ def _zero_and_tiny_spectra(draw):
     tiny = draw(st.floats(1e-12, 8e-9))
     lam = np.sort(np.random.default_rng(seed).uniform(0.1, 5.0, size=n))[::-1]
     lam[-2:] = tiny, 0.0
-    return _with_spectrum(lam, seed)
+    return with_spectrum(lam, seed)
 
 
 class TestZeroGroup:
@@ -509,7 +466,7 @@ class TestZeroGroup:
     eigenvalue, with the t < 0 rule, comes from one table."""
 
     def test_zero_beside_a_tiny_eigenvalue(self):
-        A = _zero_beside_tiny()
+        A = zero_beside_tiny()
         dec = dc.spectral_decompose(A)
         assert dec.group_starts.size == 3 and dec.singular
         assert dc.check_dn(A).num_distinct_eigenvalues == 3
@@ -541,9 +498,9 @@ class TestZeroGroup:
                 lambda: dc.matrix_critical_exponent(A, scan))
 
     def test_one_rule_for_negative_t(self):
-        singular = (_zero_beside_tiny(), dc.random_dn(5, 3, 0), sym(np.ones((3, 3))),
+        singular = (zero_beside_tiny(), dc.random_dn(5, 3, 0), sym(np.ones((3, 3))),
                     sym(np.zeros((2, 2))), sym(np.diag([2.0, 1e-12, 0.0])))
-        invertible = (_zero_beside_tiny().entries + 1e-6 * np.eye(3), tridiag(4),
+        invertible = (zero_beside_tiny().entries + 1e-6 * np.eye(3), tridiag(4),
                       dc.random_dn(5, 5, 0), np.eye(3), np.diag([2.0, 1e-12]))
         for A in singular:
             assert dc.spectral_decompose(A).singular
@@ -586,13 +543,14 @@ def _entry_terms_oracle(dec, i, j):
     return bases, coeffs, singular
 
 
-def _entry_exppoly_terms_oracle(dec, i, j, zero_tol=COEFF_ZERO_TOL):
+def _entry_exppoly_terms_oracle(dec, i, j):
     """``entry_exppoly`` as it was before the tensor: one
-    ``_entry_terms_oracle`` call and one abs-max per entry."""
+    ``_entry_terms_oracle`` call and one abs-max per entry, and the cut of
+    ``sign_cut_oracle``."""
     bases, coeffs, singular = _entry_terms_oracle(dec, i, j)
     cmax = float(np.abs(coeffs).max(initial=0.0))
     return ExpPoly(bases=tuple(bases.tolist()), coefficients=tuple(coeffs.tolist()),
-                   singular=singular, sign_cut=zero_tol * cmax)
+                   singular=singular, sign_cut=sign_cut_oracle(dec, cmax))
 
 
 def _same_exppoly(f, g):
@@ -602,18 +560,21 @@ def _same_exppoly(f, g):
             and _same_bits([f.sign_cut], [g.sign_cut]))
 
 
-ZERO_TOLS = (COEFF_ZERO_TOL, 1e-3, 0.0)
+def _significant_coefficients(f):
+    """f's coefficients with those at or below its sign_cut replaced by exact
+    zeros: what ``descartes_bound`` counts the signs of."""
+    return tuple(0.0 if abs(c) <= f.sign_cut else c for c in f.coefficients)
 
 
-def _check_tensor_against_oracle(dec, zero_tol):
+def _check_tensor_against_oracle(dec):
     """Every entry's ExpPoly and Descartes count, and the i <= j rows the
     scan reads, as the per-entry construction gives them."""
     n = dec.n
     for i in range(n):
         for j in range(n):
-            f = dc.entry_exppoly(dec, i, j, zero_tol)
-            assert _same_exppoly(f, _entry_exppoly_terms_oracle(dec, i, j, zero_tol)), (i, j)
-            assert dc.descartes_bound(f) == sign_changes(f.significant_coefficients())
+            f = dc.entry_exppoly(dec, i, j)
+            assert _same_exppoly(f, _entry_exppoly_terms_oracle(dec, i, j)), (i, j)
+            assert dc.descartes_bound(f) == sign_changes(_significant_coefficients(f))
     iu, ju = np.triu_indices(n)
     bases, coeffs, singular = _entry_terms_oracle(dec, iu, ju)
     assert _same_bits(dec.entry_bases, bases) and dec.singular == singular
@@ -634,7 +595,7 @@ def _policy_decompositions(draw):
         A = dc.random_tridiagonal_dn(n, rng)
     else:
         lam = np.sort(rng.choice([0.0, 0.5, 2.0, 3.0], size=n))[::-1]
-        A = _with_spectrum(lam, seed)
+        A = with_spectrum(lam, seed)
     return dc.spectral_decompose(A)
 
 
@@ -644,25 +605,22 @@ class TestCoefficientTensor:
 
     def test_matches_per_entry_terms_on_policy_corpus(self):
         singular = repeated = 0
-        for A in _policy_corpus():
+        for A in policy_corpus():
             dec = dc.spectral_decompose(A)
             singular += dec.singular
             repeated += dec.group_starts.size < A.n
-            for zero_tol in ZERO_TOLS:
-                _check_tensor_against_oracle(dec, zero_tol)
+            _check_tensor_against_oracle(dec)
         assert singular >= 40 and repeated >= 40
 
-    @given(_policy_decompositions(), st.sampled_from(ZERO_TOLS))
+    @given(_policy_decompositions())
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_matches_per_entry_terms_drawn(self, dec, zero_tol):
-        _check_tensor_against_oracle(dec, zero_tol)
+    def test_matches_per_entry_terms_drawn(self, dec):
+        _check_tensor_against_oracle(dec)
 
     def test_edge_matrices(self):
         for A in (sym([[2.0]]), sym([[0.0]]), sym(np.zeros((3, 3))), sym(np.eye(5)),
                   sym(np.eye(4) + np.ones((4, 4))), sym(np.ones((6, 6)))):
-            dec = dc.spectral_decompose(A)
-            for zero_tol in ZERO_TOLS:
-                _check_tensor_against_oracle(dec, zero_tol)
+            _check_tensor_against_oracle(dc.spectral_decompose(A))
 
 
 # coefficients that sit exactly at a cut below, or carry no sign
@@ -693,14 +651,14 @@ class TestOnePassDescartes:
     def test_hand_cases(self, coeffs, cut, expected):
         f = _cut_poly(coeffs, cut)
         assert dc.descartes_bound(f) == expected
-        assert sign_changes(f.significant_coefficients()) == expected
+        assert sign_changes(_significant_coefficients(f)) == expected
 
     @given(st.lists(st.one_of(st.sampled_from(_SIGN_EDGES), st.floats()), max_size=8),
            st.sampled_from([0.0, 5e-324, 1e-3, 2.5, -1.0, float("nan"), float("inf")]))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_sign_changes_of_significant_coefficients(self, coeffs, cut):
         f = _cut_poly(coeffs, cut)
-        assert dc.descartes_bound(f) == sign_changes(f.significant_coefficients())
+        assert dc.descartes_bound(f) == sign_changes(_significant_coefficients(f))
 
 
 class TestScanOracle:

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
-from conftest import validate_sign_change_matrix_oracle
+from conftest import (
+    generic_oracle,
+    policy_corpus,
+    scan_corpus,
+    spectral_data_draws,
+    validate_sign_change_matrix_oracle,
+)
 from dncrit import signchange
-from dncrit.exppoly import COEFF_ZERO_TOL, descartes_bound, entry_exppoly
+from dncrit.exppoly import COEFF_ZERO_TOL, ExpPoly, descartes_bound, entry_exppoly
+from dncrit.matcore import ZERO_COORD_TOL
 from dncrit.signchange import (
-    ZERO_COORD_TOL,
+    InvalidWError,
     SignChangeMatrix,
     ValidationResult,
     format_sign_change_matrix,
@@ -28,10 +35,12 @@ def tridiag(n):
                + np.diag([1.0] * (n - 1), -1))
 
 
-def _sign_change_matrix_oracle(dec, zero_tol=COEFF_ZERO_TOL):
-    """The n^2 loop that the pair-wise W replaced: one entry polynomial per
-    entry, diagonal and lower triangle included, and one eigenvector column
-    at a time for the zero-coordinate test."""
+def _sign_change_matrix_oracle(dec, rel_cut):
+    """W with one sign cut for every decomposition, as before the cut
+    followed from ``generic``: the n^2 loop that the pair-wise W replaced,
+    one entry polynomial per entry, diagonal and lower triangle included,
+    each built with the explicit sign_cut rel_cut * max|c|, and one
+    eigenvector column at a time for the zero-coordinate test."""
     n = dec.n
     coord_ok = True
     for k in range(n):
@@ -39,9 +48,31 @@ def _sign_change_matrix_oracle(dec, zero_tol=COEFF_ZERO_TOL):
         if col.min() <= ZERO_COORD_TOL * col.max():
             coord_ok = False
             break
-    w = tuple(tuple(descartes_bound(entry_exppoly(dec, i, j, zero_tol)) for j in range(n))
-              for i in range(n))
+
+    def poly(i, j):
+        c = dec.entry_coefficients[i, j]
+        return ExpPoly(bases=tuple(dec.entry_bases.tolist()), coefficients=tuple(c.tolist()),
+                       singular=dec.singular, sign_cut=rel_cut * float(np.abs(c).max(initial=0.0)))
+    w = tuple(tuple(descartes_bound(poly(i, j)) for j in range(n)) for i in range(n))
     return SignChangeMatrix(n=n, w=w, generic=dec.group_starts.size == n and coord_ok)
+
+
+def _check_against_oracle(dec):
+    """W, its generic flag and every pair's sign cut follow the one rule:
+    cut 0 on a generic decomposition, COEFF_ZERO_TOL * max|c| on any other.
+    Returns (W, the W of the COEFF_ZERO_TOL cut everywhere)."""
+    got = dc.sign_change_matrix(dec)
+    cut_w = _sign_change_matrix_oracle(dec, COEFF_ZERO_TOL)
+    assert got.generic == dec.generic == cut_w.generic
+    want = _sign_change_matrix_oracle(dec, 0.0) if dec.generic else cut_w
+    assert got.n == want.n and got.w == want.w
+    for i in range(dec.n):
+        for j in range(i + 1, dec.n):
+            f = entry_exppoly(dec, i, j)
+            assert got[i, j] == descartes_bound(f)
+            cmax = max(map(abs, f.coefficients), default=0.0)
+            assert f.sign_cut == (0.0 if dec.generic else COEFF_ZERO_TOL * cmax)
+    return got, cut_w
 
 
 @st.composite
@@ -59,15 +90,23 @@ def w_sources(draw):
 
 
 class TestPairwiseConstruction:
-    @given(w_sources(), st.sampled_from([COEFF_ZERO_TOL, 1e-3, 0.0]))
-    @example(tridiag(8), 0.0)
+    @given(w_sources())
+    @example(tridiag(8))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_matches_n_squared_oracle(self, A, zero_tol):
-        dec = dc.spectral_decompose(A)
-        got = dc.sign_change_matrix(dec, zero_tol)
-        want = _sign_change_matrix_oracle(dec, zero_tol)
-        assert got.n == want.n and got.w == want.w
-        assert got.generic == want.generic
+    def test_matches_n_squared_oracle(self, A):
+        _check_against_oracle(dc.spectral_decompose(A))
+
+    def test_one_sign_rule_on_policy_and_scan_corpora(self):
+        # on these corpora the rule moves no W: the cut-everywhere W is the W
+        generic = 0
+        decs = [dc.spectral_decompose(A) for A in policy_corpus()]
+        decs += [dc.spectral_decompose(A) for _, A in scan_corpus()]
+        for dec in decs:
+            got, cut_w = _check_against_oracle(dec)
+            assert got.w == cut_w.w
+            assert dec.generic == generic_oracle(dec)
+            generic += dec.generic
+        assert 100 <= generic <= len(decs) - 100
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_entry_polynomial_per_pair(self, n):
@@ -75,7 +114,44 @@ class TestPairwiseConstruction:
         with mock.patch.object(signchange, "entry_exppoly", wraps=entry_exppoly) as spy:
             dc.sign_change_matrix(dec)
         assert spy.call_count == n * (n - 1) // 2
-        assert all(i < j for (_, i, j, _), _ in spy.call_args_list)
+        assert all(i < j for (_, i, j), _ in spy.call_args_list)
+
+
+# Draw 558 of ``spectral_data_draws(6, 600)``, at 17 digits: generic, but
+# entry (2, 4)'s third coefficient, 6.05e-12 from coordinates near 1e-6, lies
+# below COEFF_ZERO_TOL * max|c|, and the W that skips it is in no n=6 class.
+DRAW_558 = (
+    (1.1098342277305495, 1.0167861769965421, 0, 0, 0, 0),
+    (1.0167861769965421, 1.3572704668535676, 1.1118154225875228, 0, 0, 0),
+    (0, 1.1118154225875228, 4.0026669064192006, 0.37459953512193517, 0, 0),
+    (0, 0, 0.37459953512193517, 0.59580403388780945, 0.1257381969169058, 0),
+    (0, 0, 0, 0.1257381969169058, 0.0368473112083742, 9.6884388701395319e-05),
+    (0, 0, 0, 0, 9.6884388701395319e-05, 1.4702536135988187),
+)
+
+
+class TestGenericW:
+    """A generic invertible DN matrix's W is its sign pattern's W, so its
+    canonical form is an enumerated class (see the module docstring)."""
+
+    def test_draw_558_lands_in_a_class(self):
+        dec = dc.spectral_decompose(sym(DRAW_558))
+        W = dc.sign_change_matrix(dec)
+        assert dec.generic and W.generic
+        assert W[1, 3] == 4 and _sign_change_matrix_oracle(dec, COEFF_ZERO_TOL)[1, 3] == 2
+        assert dc.canonicalize_w(W) in dc.enumerate_w_classes(6)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_spectral_data_corpus_lands_in_classes(self, n):
+        classes = frozenset(dc.enumerate_w_classes(n))
+        checked = 0
+        for A in spectral_data_draws(n, 600):
+            dec = dc.spectral_decompose(A)
+            W = dc.sign_change_matrix(dec)
+            if W.generic and dc.check_dn(A, dec=dec).is_invertible:
+                assert dc.canonicalize_w(W) in classes
+                checked += 1
+        assert checked >= 400
 
 
 class TestConstruction:
@@ -222,6 +298,18 @@ class TestValidation:
             assert dc.validate_sign_change_matrix(W) == _validate_oracle(W) == \
                 validate_sign_change_matrix_oracle(W)
         assert all(dc.validate_sign_change_matrix(W).ok for W in classes)
+
+    @pytest.mark.parametrize("n, w", [
+        (3, ((0, 1), (1, 0))),
+        (2, ((0, 1, 2), (1, 0, 1), (2, 1, 0))),
+        (2, ((0, 1), (1,))),
+    ], ids=["fewer rows", "more rows", "ragged"])
+    def test_shape_other_than_n_by_n(self, n, w):
+        W = SignChangeMatrix(n=n, w=w)
+        assert dc.validate_sign_change_matrix(W) == ValidationResult(
+            ok=False, violations=(f"W is not {n} x {n}",))
+        with pytest.raises(InvalidWError):
+            dc.entry_bounds_from_w(W)
 
     def test_toeplitz_ok(self):
         w = tuple(tuple(abs(i - j) for j in range(5)) for i in range(5))
