@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -26,8 +25,6 @@ from .certify import (
 from .enumeration import _count_sign_patterns, enumerate_sign_patterns, enumerate_w_classes
 from .exppoly import DEFAULT_STEP, ScanConfig, grid_entry_values
 from .matcore import (
-    PSD_TOL,
-    SYM_TOL,
     MatrixFormatError,
     NotSymmetricError,
     SymMatrix,
@@ -47,9 +44,9 @@ from .signchange import (
 from . import experiments
 
 
-def _read_matrix(path: str, sym_tol: float) -> SymMatrix:
+def _read_matrix(path: str) -> SymMatrix:
     with open(path) as fh:
-        return parse_matrix(fh.read(), sym_tol=sym_tol)
+        return parse_matrix(fh.read())
 
 
 def _write_out(args, text: str) -> None:
@@ -62,17 +59,9 @@ def _bound_text(v: float) -> str:
     return f"{v:g}" if v < UNBOUNDED else _json_bound(v)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of the tolerance flags: a finite float >= 0."""
-    v = float(text)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return v
-
-
 def cmd_check(args) -> int:
-    A = _read_matrix(args.file, args.sym_tol)
-    report = check_dn(A, psd_tol=args.psd_tol)
+    A = _read_matrix(args.file)
+    report = check_dn(A)
     print(f"n={A.n}")
     print(f"nonnegative={report.is_nonnegative} (min entry {report.min_entry:.6g})")
     print(f"psd={report.is_psd} (min eigenvalue {report.min_eigenvalue:.6g})")
@@ -84,8 +73,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_power(args) -> int:
-    A = _read_matrix(args.file, args.sym_tol)
-    out = matrix_power_t(A, args.t, psd_tol=args.psd_tol)
+    A = _read_matrix(args.file)
+    out = matrix_power_t(A, args.t)
     text = format_matrix(out)
     sys.stdout.write(text)
     _write_out(args, text)
@@ -93,7 +82,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_signchange(args) -> int:
-    A = _read_matrix(args.file, args.sym_tol)
+    A = _read_matrix(args.file)
     W = sign_change_matrix(spectral_decompose(A))
     result = validate_sign_change_matrix(W)
     text = format_sign_change_matrix(W)
@@ -149,9 +138,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if (args.n is None) == (args.w_file is None):
-        print("certify: exactly one of --n or --w-file is required", file=sys.stderr)
-        return 2
     if args.w_file is not None:
         with open(args.w_file) as fh:
             W = parse_sign_change_matrix(fh.read())
@@ -194,7 +180,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    A = _read_matrix(args.file, args.sym_tol)
+    A = _read_matrix(args.file)
     scan = ScanConfig(t_min=args.t_min, t_max=args.t_max, step=args.step)
     if args.entry:
         entries = []
@@ -260,23 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_file(p):
         p.add_argument("file")
-        p.add_argument("--sym-tol", type=_tolerance, default=SYM_TOL,
-                       help="relative symmetry tolerance on input (default %(default)g)")
         add_out(p)
-
-    def add_psd_tol(p):
-        p.add_argument("--psd-tol", type=_tolerance, default=PSD_TOL,
-                       help="relative eigenvalue clamp tolerance (default %(default)g)")
 
     p = sub.add_parser("check", help="doubly-nonnegative check of a matrix file")
     add_file(p)
-    add_psd_tol(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("power", help="real matrix power A^t in matrix text format")
     add_file(p)
     p.add_argument("--t", type=float, required=True)
-    add_psd_tol(p)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("signchange", help="sign change matrix W of a matrix file")
@@ -291,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("certify", help="per-dimension certificate or entry bounds of one W")
-    p.add_argument("--n", type=int)
-    p.add_argument("--w-file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int)
+    source.add_argument("--w-file")
     add_out(p)
     p.set_defaults(func=cmd_certify)
 
@@ -337,7 +316,7 @@ def main(argv=None) -> int:
     except (MatrixFormatError, NotSymmetricError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-# Default tolerances.  All relative thresholds are scaled as documented at
-# the point of use; tests pin behavior at exactly these values.
+# Tolerances: fixed rules that no caller overrides.  All relative thresholds
+# are scaled as documented at the point of use; tests pin behavior at exactly
+# these values.
 SYM_TOL = 1e-12          # relative asymmetry accepted on input
 ORTHO_TOL = 1e-12        # |U^T U - I| bound
 RECON_TOL = 1e-10        # |U diag(lam) U^T - A| bound, relative to max |a_ij|
@@ -68,10 +69,10 @@ class SymMatrix:
     entries: np.ndarray
 
     @classmethod
-    def from_array(cls, a, sym_tol: float = SYM_TOL) -> "SymMatrix":
+    def from_array(cls, a) -> "SymMatrix":
         """Validate and symmetrize an array-like.
 
-        Asymmetry up to ``sym_tol * max_abs_entry`` is averaged away; anything
+        Asymmetry up to ``SYM_TOL * max_abs_entry`` is averaged away; anything
         larger raises NotSymmetricError.
         """
         arr = np.array(a, dtype=float)
@@ -81,8 +82,8 @@ class SymMatrix:
             raise MatrixFormatError("matrix entries must be finite")
         scale = np.abs(arr).max()
         asym = np.abs(arr - arr.T).max()
-        if asym > sym_tol * max(scale, 1e-300):
-            raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {sym_tol:.1e} * {scale:.3e}")
+        if asym > SYM_TOL * max(scale, 1e-300):
+            raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
         sym = (arr + arr.T) / 2.0
         sym.setflags(write=False)
         return cls(n=sym.shape[0], entries=sym)
@@ -164,9 +165,9 @@ class SpectralDecomposition:
 
     @property
     def singular(self) -> bool:
-        """Whether A has a zero eigenvalue: its last value, read unclamped for
-        a caller's own PSD tolerance, is <= 0.  The entry polynomials then
-        lack the zero group and only represent A^t for t > 0."""
+        """Whether A has a zero eigenvalue: its last value, read unclamped
+        so that a matrix that is not PSD still answers, is <= 0.  The entry
+        polynomials then lack the zero group and only represent A^t for t > 0."""
         return bool(self.eigenvalues[-1] <= 0.0)
 
     @cached_property
@@ -181,9 +182,9 @@ class SpectralDecomposition:
         return coeffs
 
 
-def parse_matrix(text: str, sym_tol: float = SYM_TOL) -> SymMatrix:
+def parse_matrix(text: str) -> SymMatrix:
     """Read a matrix from text: '#' comment lines, then n, then n rows of n numbers."""
-    return SymMatrix.from_array(_read_square_rows(text), sym_tol=sym_tol)
+    return SymMatrix.from_array(_read_square_rows(text))
 
 
 def format_matrix(A: SymMatrix) -> str:
@@ -253,8 +254,7 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecompo
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
 
 
-def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL,
-             dec: SpectralDecomposition | None = None) -> DnReport:
+def check_dn(A: SymMatrix, dec: SpectralDecomposition | None = None) -> DnReport:
     """Report nonnegativity, positive semi-definiteness, invertibility,
     irreducibility, and the distinct-eigenvalue count.
 
@@ -264,18 +264,17 @@ def check_dn(A: SymMatrix, psd_tol: float = PSD_TOL,
     if dec is None:
         dec = spectral_decompose(A)
     lam = dec.eigenvalues
-    scale = max(1.0, float(lam[0]))
     min_entry = float(A.entries.min())
     min_eig = float(lam[-1])
     is_nonneg = min_entry >= 0.0
-    is_psd = min_eig >= -psd_tol * scale
+    is_psd = _is_psd(lam)
     return DnReport(
         is_nonnegative=is_nonneg,
         is_psd=is_psd,
         is_dn=is_nonneg and is_psd,
         min_entry=min_entry,
         min_eigenvalue=min_eig,
-        is_invertible=min_eig > INVERT_TOL * scale,
+        is_invertible=min_eig > INVERT_TOL * max(1.0, float(lam[0])),
         is_irreducible=is_irreducible(A),
         num_distinct_eigenvalues=dec.group_starts.size,
     )
@@ -298,20 +297,22 @@ def _group_starts(lam: np.ndarray) -> np.ndarray:
     return np.array(starts, dtype=np.intp)
 
 
-def fractional_power(dec: SpectralDecomposition, t: float, psd_tol: float = PSD_TOL) -> SymMatrix:
-    """Real power sum(lambda_k^t x_k x_k^T).
+def fractional_power(dec: SpectralDecomposition, t: float) -> SymMatrix:
+    """Real power sum(lambda_k^t x_k x_k^T) of ``dec.clamped_eigenvalues``,
+    which raises NegativeEigenvalueError on a matrix that is not PSD.
 
-    Eigenvalues within the PSD tolerance band below zero are clamped to 0;
-    anything lower raises NegativeEigenvalueError.  Conventions of
-    ``_power_table``: 0^t = 0 for t > 0 and 0^0 = 1, so A^0 = I even for
-    singular A, where t < 0 raises.  A non-finite t raises ValueError.
+    Conventions of ``_power_table``: 0^t = 0 for t > 0 and 0^0 = 1, so
+    A^0 = I even for singular A, where t < 0 raises.  A non-finite t, or a
+    power whose entries are not finite in float64, raises ValueError.
     """
     if not np.isfinite(t):
         raise ValueError(f"power t must be finite, got {t!r}")
-    lam = clamp_psd(dec.eigenvalues, psd_tol)
     u = dec.eigenvectors
-    result = (u * _power_table(lam, t, dec.singular)[:, 0]) @ u.T
-    return SymMatrix.from_array((result + result.T) / 2.0, sym_tol=np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = (u * _power_table(dec.clamped_eigenvalues, t, dec.singular)[:, 0]) @ u.T
+    if not np.isfinite(result).all():
+        raise ValueError(f"A^t is not finite in float64 at t={t!r}")
+    return SymMatrix.from_array((result + result.T) / 2.0)
 
 
 def _power_table(bases: np.ndarray, ts, singular: bool) -> np.ndarray:
@@ -324,20 +325,26 @@ def _power_table(bases: np.ndarray, ts, singular: bool) -> np.ndarray:
     return np.power(bases[:, None], ts)
 
 
-def clamp_psd(eigenvalues: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Zero out tiny negative eigenvalues; reject genuinely negative ones."""
+def _is_psd(lam: np.ndarray) -> bool:
+    """The one PSD rule, on a non-increasing spectrum:
+    lam_n >= -PSD_TOL * max(1, lam_1)."""
+    return bool(lam[-1] >= -PSD_TOL * max(1.0, float(lam[0])))
+
+
+def clamp_psd(eigenvalues: np.ndarray) -> np.ndarray:
+    """Zero out the negative values of a non-increasing spectrum that
+    ``_is_psd`` accepts; raise NegativeEigenvalueError on one it rejects."""
     lam = np.asarray(eigenvalues, dtype=float)
-    scale = max(1.0, float(lam.max(initial=0.0)))
-    if lam.min() < -psd_tol * scale:
+    if not _is_psd(lam):
         raise NegativeEigenvalueError(
-            f"eigenvalue {lam.min():.6e} below -{psd_tol:.1e} * {scale:.3e}"
+            f"eigenvalue {lam[-1]:.6e} below -{PSD_TOL:.1e} * {max(1.0, lam[0]):.3e}"
         )
     return np.where(lam < 0.0, 0.0, lam)
 
 
-def matrix_power_t(A: SymMatrix, t: float, psd_tol: float = PSD_TOL) -> SymMatrix:
+def matrix_power_t(A: SymMatrix, t: float) -> SymMatrix:
     """Convenience: decompose A and return A^t."""
-    return fractional_power(spectral_decompose(A), t, psd_tol=psd_tol)
+    return fractional_power(spectral_decompose(A), t)
 
 
 def is_irreducible(A: SymMatrix) -> bool:

@@ -1,6 +1,8 @@
-"""The public surface of the package: ``__all__`` changes only by an edit
-to the list below, and importing the package needs numpy only."""
+"""The public surface of the package: ``__all__`` and its tolerance
+parameters change only by an edit to the lists below, and importing the
+package needs numpy only."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -29,8 +31,19 @@ PUBLIC = [
 ]
 
 
+# the tolerance parameters of the public callables; every other tolerance is
+# a fixed rule of the library (SYM_TOL, PSD_TOL, MERGE_TOL, ...)
+TOLERANCE_PARAMETERS = [("ScanConfig", "endpoint_tol"), ("ScanConfig", "entry_tol")]
+
+
 def test_all_is_pinned():
     assert sorted(dc.__all__) == PUBLIC
+
+
+def test_tolerance_parameters_are_pinned():
+    found = [(name, param) for name in sorted(dc.__all__) if callable(obj := getattr(dc, name))
+             for param in inspect.signature(obj).parameters if param.endswith("_tol")]
+    assert found == TOLERANCE_PARAMETERS
 
 
 def test_all_names_resolve():

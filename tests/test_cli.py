@@ -9,7 +9,7 @@ import pytest
 
 import dncrit as dc
 from dncrit.cli import main
-from dncrit.matcore import parse_matrix
+from dncrit.matcore import NegativeEigenvalueError, parse_matrix
 
 
 def write_matrix(path, rows):
@@ -95,6 +95,13 @@ class TestPower:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_power_is_an_error(self, dn_file, capsys):
+        # the input is fine; 3^1e5 is not a float64
+        assert main(["power", dn_file, "--t", "1e5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: A^t is not finite in float64 at t=100000.0\n"
         assert captured.out == ""
 
     def test_out_file(self, dn_file, tmp_path, capsys):
@@ -212,12 +219,12 @@ class TestCertify:
         assert "input error" in capsys.readouterr().err
 
     def test_requires_exactly_one_input(self, tmp_path, capsys):
-        assert main(["certify"]) == 2
         path = tmp_path / "w.txt"
         path.write_text("2\n0 1\n1 0\n")
-        assert main(["certify", "--n", "3", "--w-file", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "exactly one" in err
+        for argv in (["certify"], ["certify", "--n", "3", "--w-file", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert "--n" in err and "--w-file" in err
 
 
 class TestWitness:
@@ -292,6 +299,14 @@ class TestScan:
         assert "error" in captured.err
         assert captured.out == ""
 
+    def test_unallocatable_grid_is_an_error(self, dn_file, capsys):
+        # 1e17 grid points: no machine can allocate them, and exit 1 is
+        # reserved for a failed verification
+        assert main(["scan", dn_file, "--step", "1e-16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_csv_out(self, dn_file, tmp_path, capsys):
         out_path = tmp_path / "scan.csv"
         assert main(["scan", dn_file, "--entry", "1,2", "--t-min", "0",
@@ -300,6 +315,45 @@ class TestScan:
         body = out_path.read_text()
         assert body.startswith("t,i,j,value\n")
         assert len(body.strip().splitlines()) == 1 + 201
+
+
+class TestOnePsdRule:
+    """Every command accepts the same matrices: an eigenvalue inside the PSD
+    band is a zero eigenvalue, and one below it is rejected by all alike."""
+
+    @staticmethod
+    def _file(tmp_path, rel):
+        """A DN-looking file with eigenvalues 3, 1 and rel * 3."""
+        v, w, z = (np.array(x) / np.linalg.norm(x) for x in ([1, 1, 1], [1, -1, 0], [1, 1, -2]))
+        path = write_matrix(tmp_path / "a.txt",
+                            (3 * np.outer(v, v) + np.outer(w, w) + 3 * rel * np.outer(z, z)).tolist())
+        with open(path) as fh:
+            dec = dc.spectral_decompose(parse_matrix(fh.read()))
+        assert dec.eigenvalues[-1] == pytest.approx(3 * rel, rel=1e-3)
+        return path, dec
+
+    @staticmethod
+    def _powering_commands(path):
+        return (["power", path, "--t", "0.5"], ["signchange", path],
+                ["scan", path, "--t-max", "1"])
+
+    def test_inside_the_band(self, tmp_path, capsys):
+        path, dec = self._file(tmp_path, -1e-11)
+        assert dec.clamped_eigenvalues[-1] == 0.0
+        assert main(["check", path]) == 0
+        assert "psd=True" in capsys.readouterr().out
+        for argv in self._powering_commands(path):
+            assert main(argv) == 0
+
+    def test_below_the_band(self, tmp_path, capsys):
+        path, dec = self._file(tmp_path, -1e-9)
+        with pytest.raises(NegativeEigenvalueError) as exc:
+            dec.clamped_eigenvalues
+        assert main(["check", path]) == 1
+        assert "psd=False" in capsys.readouterr().out
+        for argv in self._powering_commands(path):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 class TestSearch:
@@ -364,22 +418,11 @@ class TestTopLevel:
         ["signchange", "DN", "--zero-tol", "1e-9"],
         ["signchange", "DN", "--zero-tol", "nan"],
         ["signchange", "DN", "--zero-tol", "-1"],
-    ])
-    def test_flag_a_subcommand_does_not_read_rejected(self, dn_file, capsys, argv):
-        assert main([dn_file if a == "DN" else a for a in argv]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
         ["check", "DN", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
         ["power", "DN", "--t", "2", "--sym-tol", "1e-9", "--psd-tol", "1e-9"],
         ["signchange", "DN", "--sym-tol", "1e-9"],
         ["scan", "DN", "--sym-tol", "1e-9", "--t-max", "1"],
         ["check", "DN", "--sym-tol", "0", "--psd-tol", "0"],
-    ])
-    def test_tolerance_flags_accepted_where_read(self, dn_file, capsys, argv):
-        assert main([dn_file if a == "DN" else a for a in argv]) == 0
-
-    @pytest.mark.parametrize("argv", [
         ["check", "DN", "--psd-tol", "nan"],
         ["check", "DN", "--psd-tol=-1e-10"],
         ["check", "DN", "--sym-tol", "-1"],
@@ -390,9 +433,6 @@ class TestTopLevel:
         ["signchange", "DN", "--sym-tol", "-1"],
         ["scan", "DN", "--sym-tol=-inf"],
     ])
-    def test_tolerance_flags_need_finite_nonnegative(self, dn_file, capsys, argv):
+    def test_flag_a_subcommand_does_not_read_rejected(self, dn_file, capsys, argv):
         assert main([dn_file if a == "DN" else a for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert "tolerance must be finite and >= 0" in captured.err
-        assert captured.out == ""
-
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -218,8 +218,8 @@ class TestOneDecomposition:
         return calls
 
     @staticmethod
-    def _check_dn_decomposing_again(A, psd_tol=dc.matcore.PSD_TOL, dec=None):
-        return dc.matcore.check_dn(A, psd_tol)
+    def _check_dn_decomposing_again(A, dec=None):
+        return dc.matcore.check_dn(A)
 
     def test_witness_decomposes_once(self, monkeypatch):
         cases = [(n, seed) for n in range(3, 9) for seed in range(3)]

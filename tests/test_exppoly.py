@@ -517,17 +517,20 @@ class TestZeroGroup:
                 with pytest.raises(NegativeEigenvalueError):
                     path()
 
-    def test_singular_under_a_callers_psd_tolerance(self):
-        # -1e-9 fails the default PSD band, so only fractional_power's own
-        # psd_tol clamps it to a zero eigenvalue
-        dec = dc.spectral_decompose(sym(np.diag([1.0, -1e-9])))
+    def test_psd_band_edge(self):
+        # -1e-11 lies inside the PSD band and is clamped to a zero group;
+        # -1e-9 lies below it, and every powering path rejects it
+        in_band = sym(np.diag([1.0, -1e-11]))
+        dec = dc.spectral_decompose(in_band)
         assert dec.singular
-        got = dc.fractional_power(dec, 0.5, psd_tol=1e-8).entries
-        assert np.array_equal(got, np.diag([1.0, 0.0]))
-        with pytest.raises(ZeroToNegativePowerError):
-            dc.fractional_power(dec, -0.5, psd_tol=1e-8)
-        with pytest.raises(NegativeEigenvalueError):
-            dc.fractional_power(dec, 0.5)
+        assert np.array_equal(dc.fractional_power(dec, 0.5).entries, np.diag([1.0, 0.0]))
+        for path in self._powering_paths(in_band, -0.5):
+            with pytest.raises(ZeroToNegativePowerError):
+                path()
+        for t in (-0.5, 0.5):
+            for path in self._powering_paths(sym(np.diag([1.0, -1e-9])), t):
+                with pytest.raises(NegativeEigenvalueError):
+                    path()
 
 
 def _entry_terms_oracle(dec, i, j):

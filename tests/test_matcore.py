@@ -191,6 +191,14 @@ class TestPowers:
         with pytest.raises(ValueError, match="finite"):
             dc.fractional_power(dec, t)
 
+    @pytest.mark.parametrize("t", [1e5, -1e5])
+    def test_overflowing_power_rejected(self, t):
+        # eigenvalues 3 and 1/3: A^t is beyond float64 either way, an error
+        # naming t and no overflow warning
+        dec = dc.spectral_decompose(sym([[5 / 3, 4 / 3], [4 / 3, 5 / 3]]))
+        with pytest.raises(ValueError, match=f"not finite in float64 at t={t!r}"):
+            dc.fractional_power(dec, t)
+
     def test_negative_power_invertible(self):
         A = sym([[2, 1], [1, 2]])
         inv = dc.matrix_power_t(A, -1.0)
