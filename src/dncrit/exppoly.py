@@ -9,6 +9,8 @@ This module represents such functions, evaluates them on grids, bounds their
 root counts via coefficient sign changes, and locates intervals where they
 are negative.  ``_negative_grid`` scans for ``negative_intervals`` and both
 critical exponents, which are ``_last_exit`` (the entry one its one row).
+Evaluations are ``_grid_values`` products on ``matcore._power_table`` (bisection
+steps excepted), so the table's t < 0 and overflow rules hold here too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .matcore import (
     SpectralDecomposition,
     SymMatrix,
     _power_table,
+    grid_entry_values,
     spectral_decompose,
 )
 
@@ -126,30 +129,12 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int) -> ExpPoly:
 
 
 def eval_exppoly(f: ExpPoly, t):
-    """Evaluate f at scalar or array t.  Vectorized; t < 0 is fine unless f
-    is ``singular`` (see ``_power_table``)."""
+    """Evaluate f at scalar or array t: one row of ``_grid_values``.  t < 0
+    needs f not ``singular``; ``_power_table`` holds that and the overflow rule."""
     t_arr = np.asarray(t, dtype=float)
-    vals = np.array(f.coefficients) @ _power_table(np.array(f.bases), t_arr.ravel(), f.singular)
-    out = vals.reshape(t_arr.shape)
+    table = _power_table(np.array(f.bases), t_arr.ravel(), f.singular)
+    out = _grid_values(np.array([f.coefficients]), table)[0].reshape(t_arr.shape)
     return out if t_arr.ndim else float(out)
-
-
-def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """(n, n, T) array with [i, j, a] = (A^{ts[a]})_{ij}: the (n, n, n)
-    products u_ik u_jk times the (n, T) power table, one matmul.
-
-    Much faster than building n^2 ExpPoly objects when every entry of every
-    power on a grid is needed; the table is ``_power_table`` of every clamped
-    eigenvalue, zero included.
-
-    The value at one t can differ in its last bits with the grid's length:
-    numpy takes another matmul kernel for short grids, so ``ts[:k]`` need not
-    give the first k columns of ``ts`` bit for bit, and ``dncrit scan`` can
-    print different 17th digits for one t under two windows.
-    """
-    powed = _power_table(dec.clamped_eigenvalues, np.asarray(ts, dtype=float), dec.singular)
-    u = dec.eigenvectors
-    return (u[:, None, :] * u[None, :, :]) @ powed
 
 
 def descartes_bound(f: ExpPoly) -> int:
@@ -223,7 +208,8 @@ def _bisect_edge(b_col: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
     ends land on the actual roots (e.g. integer endpoints for tridiagonal
     witnesses) instead of sitting one noise-width inside them.  Each step
     evaluates f exactly as ``eval_exppoly`` does at a scalar t: the (K, 1)
-    bases against a (1, 1) t.
+    bases against a (1, 1) t, without ``_power_table``: b^t is monotone in t
+    and the bracket ends are grid points whose table columns passed its rules.
     """
     lo, hi = t_out, t_in
     t = np.empty((1, 1))
@@ -263,9 +249,10 @@ def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> f
 
 def _grid_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(E, T) values of E entries' (E, K) coefficients on a (K, T) power
-    table, rounded as ``eval_exppoly`` rounds each entry's ``c @ table``.
+    table: the one product of grouped rows, shared by ``eval_exppoly`` (E = 1),
+    the scans and both exponents, so every path rounds an entry alike.
 
-    A stack of E (1, K) @ (K, T) products does that; the plain
+    It is a stack of E (1, K) @ (K, T) products; the plain
     ``coeffs @ table`` sums in another order and differs in the last bits.
     """
     return (coeffs[:, None, :] @ table)[:, 0]

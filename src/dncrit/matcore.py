@@ -4,7 +4,8 @@ the eigenvalue policy, real matrix powers and irreducibility.
 A matrix is doubly nonnegative (DN) when it is symmetric positive
 semi-definite and entry-wise nonnegative.  Real powers A^t are taken in the
 spectral sense, sum(lambda_k^t x_k x_k^T), which is the object all other
-modules analyze.
+modules analyze.  Every lambda^t comes from one private power table, which
+holds the t < 0 and overflow rules; ``grid_entry_values`` gives A^t from it.
 
 Everything here is immutable and side-effect free; values can be shared
 freely across threads.  A decomposition's eigenvalue groups, generic flag,
@@ -298,31 +299,48 @@ def _group_starts(lam: np.ndarray) -> np.ndarray:
 
 
 def fractional_power(dec: SpectralDecomposition, t: float) -> SymMatrix:
-    """Real power sum(lambda_k^t x_k x_k^T) of ``dec.clamped_eigenvalues``,
-    which raises NegativeEigenvalueError on a matrix that is not PSD.
-
-    Conventions of ``_power_table``: 0^t = 0 for t > 0 and 0^0 = 1, so
-    A^0 = I even for singular A, where t < 0 raises.  A non-finite t, or a
-    power whose entries are not finite in float64, raises ValueError.
-    """
+    """Real power sum(lambda_k^t x_k x_k^T): ``grid_entry_values`` at the one
+    point t, so non-PSD input, t < 0 on a singular matrix and a power beyond
+    float64 raise as there.  0^t = 0 for t > 0 and 0^0 = 1, so A^0 = I even
+    for singular A.  A non-finite t raises ValueError."""
     if not np.isfinite(t):
         raise ValueError(f"power t must be finite, got {t!r}")
+    return SymMatrix.from_array(grid_entry_values(dec, [t])[:, :, 0])
+
+
+def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
+    """(n, n, T) array with [i, j, a] = (A^{ts[a]})_{ij}: the (n, n, n)
+    products u_ik u_jk times the (n, T) power table, one matmul.
+
+    Much faster than building n^2 ExpPoly objects when every entry of every
+    power on a grid is needed; the table is ``_power_table`` of every clamped
+    eigenvalue, zero included, so its t < 0 and overflow rules apply.
+
+    The value at one t can differ in its last bits with the grid's length:
+    numpy takes another matmul kernel for short grids, so ``ts[:k]`` need not
+    give the first k columns of ``ts`` bit for bit, and ``dncrit scan`` can
+    print different 17th digits for one t under two windows.
+    """
+    powed = _power_table(dec.clamped_eigenvalues, np.asarray(ts, dtype=float), dec.singular)
     u = dec.eigenvectors
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = (u * _power_table(dec.clamped_eigenvalues, t, dec.singular)[:, 0]) @ u.T
-    if not np.isfinite(result).all():
-        raise ValueError(f"A^t is not finite in float64 at t={t!r}")
-    return SymMatrix.from_array((result + result.T) / 2.0)
+    return (u[:, None, :] * u[None, :, :]) @ powed
 
 
-def _power_table(bases: np.ndarray, ts, singular: bool) -> np.ndarray:
-    """(K, T) table of bases[k] ** ts[a], (K, 1) for a scalar t: the one
-    source of eigenvalue powers.  0^t has no value for t < 0, so a negative
-    t raises ZeroToNegativePowerError when the matrix is ``singular``,
-    whether ``bases`` holds its zero or not."""
+def _power_table(bases: np.ndarray, ts: np.ndarray, singular: bool) -> np.ndarray:
+    """(K, T) table of bases[k] ** ts[a]: the one source of eigenvalue
+    powers, and the one place their two rules live.  0^t has no value for
+    t < 0, so a negative t raises ZeroToNegativePowerError when the matrix
+    is ``singular``, whether ``bases`` holds its zero or not.  A power beyond
+    float64 raises ValueError naming the first such t, with no RuntimeWarning."""
     if singular and np.any(ts < 0.0):
         raise ZeroToNegativePowerError("t < 0 with a zero eigenvalue")
-    return np.power(bases[:, None], ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.power(bases[:, None], ts)
+    finite = np.isfinite(table)
+    if not finite.all():
+        t = float(np.ravel(ts)[finite.all(axis=0).argmin()])
+        raise ValueError(f"A^t is not finite in float64 at t={t!r}")
+    return table
 
 
 def _is_psd(lam: np.ndarray) -> bool:
@@ -348,19 +366,10 @@ def matrix_power_t(A: SymMatrix, t: float) -> SymMatrix:
 
 
 def is_irreducible(A: SymMatrix) -> bool:
-    """True iff the graph with edges |a_ij| > 0 (i != j) is connected; n=1 is true."""
-    n = A.n
-    if n == 1:
-        return True
-    adj = np.abs(A.entries) > 0.0
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if i != j and not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
-
+    """True iff the graph with edges a_ij != 0 (i != j) is connected; n=1 is
+    true.  Row 0 of the reachability matrix, squared until it covers paths
+    of n - 1 edges, must be all true."""
+    reach = (A.entries != 0.0) | np.eye(A.n, dtype=bool)
+    for _ in range((A.n - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach[0].all())

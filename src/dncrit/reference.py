@@ -74,16 +74,16 @@ class ReferenceComparison:
         return head + f"; {len(self.missing)} missing, {len(self.extra)} extra"
 
 
-def compare_with_reference(classes, n: int = 5) -> ReferenceComparison:
-    """Match canonical enumerated classes against the canonicalized reference
-    list.  ``classes`` is an iterable of SignChangeMatrix canonical forms."""
-    ref_canon = {canonicalize_w(w).w: w for w in known_classes(n)}
+def compare_with_reference(classes) -> ReferenceComparison:
+    """Match canonical enumerated n=5 classes, an iterable of SignChangeMatrix
+    canonical forms, against the canonicalized reference list (n=5 only)."""
+    ref_canon = {canonicalize_w(w).w: w for w in known_classes(5)}
     enum_canon = {c.w: c for c in classes}
     matched = tuple(enum_canon[k] for k in sorted(ref_canon) if k in enum_canon)
     missing = tuple(ref_canon[k] for k in sorted(ref_canon) if k not in enum_canon)
     extra = tuple(enum_canon[k] for k in sorted(enum_canon) if k not in ref_canon)
     return ReferenceComparison(
-        n=n,
+        n=5,
         num_enumerated=len(enum_canon),
         num_reference=len(ref_canon),
         matched=matched,

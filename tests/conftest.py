@@ -196,6 +196,23 @@ def dec_critical_exponent_oracle(dec: dc.SpectralDecomposition, scan: ScanConfig
     return worst
 
 
+def is_irreducible_oracle(A: dc.SymMatrix) -> bool:
+    """The depth-first search ``is_irreducible`` replaced: True iff the
+    graph with edges |a_ij| > 0 (i != j) is connected; n=1 is true."""
+    n = A.n
+    adj = np.abs(A.entries) > 0.0
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(adj[i])[0]:
+            if i != j and not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    return bool(seen.all())
+
+
 def scan_corpus():
     """(label, matrix) pairs for the scan oracle tests, n = 2..8: Gram
     matrices of every rank 1..n, irreducible tridiagonal matrices and

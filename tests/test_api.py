@@ -1,7 +1,8 @@
-"""The public surface of the package: ``__all__`` and its tolerance
-parameters change only by an edit to the lists below, and importing the
-package needs numpy only."""
+"""The public surface of the package: ``__all__``, its tolerance
+parameters and the functions that take powers change only by an edit to the
+lists below, and importing the package needs numpy only."""
 
+import ast
 import inspect
 import json
 import os
@@ -36,6 +37,11 @@ PUBLIC = [
 TOLERANCE_PARAMETERS = [("ScanConfig", "endpoint_tol"), ("ScanConfig", "entry_tol")]
 
 
+# the functions that call np.power; every other path reads
+# matcore._power_table, which holds the t < 0 and overflow rules
+POWER_SITES = [("exppoly", "_bisect_edge"), ("matcore", "_power_table")]
+
+
 def test_all_is_pinned():
     assert sorted(dc.__all__) == PUBLIC
 
@@ -44,6 +50,22 @@ def test_tolerance_parameters_are_pinned():
     found = [(name, param) for name in sorted(dc.__all__) if callable(obj := getattr(dc, name))
              for param in inspect.signature(obj).parameters if param.endswith("_tol")]
     assert found == TOLERANCE_PARAMETERS
+
+
+def test_power_sites_are_pinned():
+    found = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.power":
+            found.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(dc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == POWER_SITES
 
 
 def test_all_names_resolve():

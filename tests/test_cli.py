@@ -299,6 +299,14 @@ class TestScan:
         assert "error" in captured.err
         assert captured.out == ""
 
+    def test_overflowing_power_is_an_error(self, dn_file, capsys):
+        # 3^1000 is not a float64; no value is written
+        assert main(["scan", dn_file, "--t-min", "1000", "--t-max", "1000",
+                     "--entry", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: A^t is not finite in float64 at t=1000.0\n"
+        assert captured.out == ""
+
     def test_unallocatable_grid_is_an_error(self, dn_file, capsys):
         # 1e17 grid points: no machine can allocate them, and exit 1 is
         # reserved for a failed verification

@@ -877,3 +877,29 @@ class TestWindowBelowZero:
         assert dc.entry_critical_exponent(f, scan) == 0.0
         got = dc.matrix_critical_exponent(A, scan)
         assert got == matrix_critical_exponent_oracle(A, scan) == 0.0
+
+
+class TestOverflowRule:
+    """A power beyond float64 raises one ValueError, naming the first t, on
+    every powering path, and no overflow warning reaches the caller."""
+
+    # on [[2, 1], [1, 2]], eigenvalue 3: 3^646 is a float64, 3^647 is not
+    @pytest.mark.parametrize("path, t", [
+        ("eval_exppoly", 1000.0), ("grid_entry_values", 1000.0), ("negative_intervals", 647.0)])
+    def test_every_path_raises(self, path, t):
+        dec = dc.spectral_decompose(sym([[2.0, 1.0], [1.0, 2.0]]))
+        f = dc.entry_exppoly(dec, 0, 1)
+        call = {"eval_exppoly": lambda: dc.eval_exppoly(f, 1000.0),
+                "grid_entry_values": lambda: grid_entry_values(dec, [1000.0]),
+                "negative_intervals": lambda: dc.negative_intervals(
+                    f, ScanConfig(t_max=1000.0, step=1.0))}[path]
+        with pytest.raises(ValueError, match=f"^A\\^t is not finite in float64 at t={t!r}$"):
+            call()
+
+    def test_scaled_matrix_exponent_raises(self):
+        # scaled by 1e35, lambda_1^t leaves float64 inside the default window
+        # t <= 10, so the exponent, 0.759 at scale 1, cannot be read there
+        A = dc.random_dn(6, 2, 1)
+        assert dc.matrix_critical_exponent(A) == pytest.approx(0.759, abs=1e-3)
+        with pytest.raises(ValueError, match="not finite in float64 at t="):
+            dc.matrix_critical_exponent(sym(1e35 * A.entries))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
+from conftest import is_irreducible_oracle
 from dncrit.matcore import (
     SIGN_TOL,
     MatrixFormatError,
@@ -248,3 +249,20 @@ class TestGraph:
         assert dc.is_irreducible(sym([[0, 1], [1, 0]]))
         assert not dc.is_irreducible(sym(np.diag([1.0, 2.0])))
         assert dc.is_irreducible(sym([[5.0]]))
+
+    @given(st.integers(1, 9), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_dfs_oracle(self, n, density, path, seed):
+        # a random symmetric zero pattern off the diagonal, signed entries; a
+        # path through the vertices in random order, under sparse extra
+        # edges, puts vertices up to n - 1 edges away from vertex 0
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(size=(n, n)) < density
+        if path:
+            order = rng.permutation(n)
+            off[order[:-1], order[1:]] = True
+        off = np.triu(off | off.T, 1)
+        signed = rng.choice([-1.0, 1.0], size=(n, n)) * rng.uniform(0.5, 2.0, size=(n, n))
+        w = np.where(off, signed, 0.0)
+        A = sym(w + w.T + np.diag(rng.uniform(size=n)))
+        assert dc.is_irreducible(A) == is_irreducible_oracle(A)
