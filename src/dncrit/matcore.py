@@ -5,7 +5,8 @@ A matrix is doubly nonnegative (DN) when it is symmetric positive
 semi-definite and entry-wise nonnegative.  Real powers A^t are taken in the
 spectral sense, sum(lambda_k^t x_k x_k^T), which is the object all other
 modules analyze.  Every lambda^t comes from one private power table, which
-holds the t < 0 and overflow rules; ``grid_entry_values`` gives A^t from it.
+holds the t < 0 and overflow rules; ``fractional_power`` (one t) and
+``grid_entry_values`` (a grid of t) give A^t from it.
 
 Everything here is immutable and side-effect free; values can be shared
 freely across threads.  A decomposition's eigenvalue groups, generic flag,
@@ -85,7 +86,8 @@ class SymMatrix:
         asym = np.abs(arr - arr.T).max()
         if asym > SYM_TOL * max(scale, 1e-300):
             raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
-        sym = (arr + arr.T) / 2.0
+        # halve first only where arr + arr.T overflows: (arr + arr.T) / 2 is exact on subnormals
+        sym = (arr + arr.T) / 2.0 if scale <= np.finfo(float).max / 2 else arr / 2 + arr.T / 2
         sym.setflags(write=False)
         return cls(n=sym.shape[0], entries=sym)
 
@@ -196,7 +198,9 @@ def format_matrix(A: SymMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_numeric_rows(text: str) -> list[list[float]]:
+def _read_square_rows(text: str) -> list[list[float]]:
+    """The n rows of n numbers below a dimension line n, blank and '#' lines
+    skipped.  The dimension must be a finite integer >= 1."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -206,13 +210,6 @@ def _read_numeric_rows(text: str) -> list[list[float]]:
             rows.append([float(tok) for tok in stripped.split()])
         except ValueError as exc:
             raise MatrixFormatError(f"line {lineno}: non-numeric token ({exc})") from None
-    return rows
-
-
-def _read_square_rows(text: str) -> list[list[float]]:
-    """The n rows of n numbers below a dimension line n, as read by
-    _read_numeric_rows.  The dimension must be a finite integer >= 1."""
-    rows = _read_numeric_rows(text)
     if not rows:
         raise MatrixFormatError("empty input")
     if len(rows[0]) != 1:
@@ -299,13 +296,14 @@ def _group_starts(lam: np.ndarray) -> np.ndarray:
 
 
 def fractional_power(dec: SpectralDecomposition, t: float) -> SymMatrix:
-    """Real power sum(lambda_k^t x_k x_k^T): ``grid_entry_values`` at the one
-    point t, so non-PSD input, t < 0 on a singular matrix and a power beyond
-    float64 raise as there.  0^t = 0 for t > 0 and 0^0 = 1, so A^0 = I even
-    for singular A.  A non-finite t raises ValueError."""
+    """Real power sum(lambda_k^t x_k x_k^T) = (u * lambda^t) u^T, O(n^2) in
+    memory; non-PSD input, t < 0 on a singular matrix and a power beyond
+    float64 raise as in ``_power_table``.  0^0 = 1, so A^0 = I even for
+    singular A.  A non-finite t raises ValueError."""
     if not np.isfinite(t):
         raise ValueError(f"power t must be finite, got {t!r}")
-    return SymMatrix.from_array(grid_entry_values(dec, [t])[:, :, 0])
+    powed = _power_table(dec.clamped_eigenvalues, np.array([t], dtype=float), dec.singular)
+    return SymMatrix.from_array((dec.eigenvectors * powed[:, 0]) @ dec.eigenvectors.T)
 
 
 def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
@@ -367,9 +365,13 @@ def matrix_power_t(A: SymMatrix, t: float) -> SymMatrix:
 
 def is_irreducible(A: SymMatrix) -> bool:
     """True iff the graph with edges a_ij != 0 (i != j) is connected; n=1 is
-    true.  Row 0 of the reachability matrix, squared until it covers paths
-    of n - 1 edges, must be all true."""
-    reach = (A.entries != 0.0) | np.eye(A.n, dtype=bool)
-    for _ in range((A.n - 1).bit_length()):
-        reach = reach @ reach
-    return bool(reach[0].all())
+    true.  Depth-first search from vertex 0 on rows packed into Python ints
+    (bit j of row k: a_kj != 0): O(n^2) for any pattern, sparse or dense."""
+    packed = np.packbits(A.entries != 0.0, axis=1, bitorder="little")
+    rows = [int.from_bytes(row, "little") for row in packed]
+    seen = todo = 1  # bit sets: vertices reached, and those whose row is unread
+    while todo:
+        low = todo & -todo
+        new = rows[low.bit_length() - 1] & ~seen
+        seen, todo = seen | new, (todo ^ low) | new
+    return seen == (1 << A.n) - 1

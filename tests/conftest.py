@@ -197,8 +197,9 @@ def dec_critical_exponent_oracle(dec: dc.SpectralDecomposition, scan: ScanConfig
 
 
 def is_irreducible_oracle(A: dc.SymMatrix) -> bool:
-    """The depth-first search ``is_irreducible`` replaced: True iff the
-    graph with edges |a_ij| > 0 (i != j) is connected; n=1 is true."""
+    """A vertex-at-a-time depth-first search, the one ``is_irreducible``
+    replaced by bit-set rows: True iff the graph with edges |a_ij| > 0
+    (i != j) is connected; n=1 is true."""
     n = A.n
     adj = np.abs(A.entries) > 0.0
     seen = np.zeros(n, dtype=bool)

@@ -104,6 +104,13 @@ class TestPower:
         assert captured.err == "error: A^t is not finite in float64 at t=100000.0\n"
         assert captured.out == ""
 
+    def test_power_just_below_float64_max(self, tmp_path, capsys):
+        # 3^646 ~ 1.66e308 is a float64: printed as a number, not inf
+        path = write_matrix(tmp_path / "d.txt", [[3.0, 0.0], [0.0, 1.0]])
+        assert main(["power", path, "--t", "646"]) == 0
+        out = parse_matrix(capsys.readouterr().out)
+        assert out.entries[0, 0] == pytest.approx(3.0 ** 646, rel=1e-12)
+
     def test_out_file(self, dn_file, tmp_path, capsys):
         out_path = tmp_path / "pow.txt"
         assert main(["power", dn_file, "--t", "0.5", "--out", str(out_path)]) == 0

@@ -200,6 +200,14 @@ class TestPowers:
         with pytest.raises(ValueError, match=f"not finite in float64 at t={t!r}"):
             dc.fractional_power(dec, t)
 
+    def test_power_just_below_float64_max(self):
+        # 3^646 ~ 1.66e308 is a float64, but twice it is not: the entry comes
+        # back finite from the product and the symmetrizing average
+        dec = dc.spectral_decompose(sym(np.diag([3.0, 1.0])))
+        out = dc.fractional_power(dec, 646.0).entries
+        assert out[0, 0] == pytest.approx(3.0 ** 646, rel=1e-12)
+        assert np.isfinite(out).all()
+
     def test_negative_power_invertible(self):
         A = sym([[2, 1], [1, 2]])
         inv = dc.matrix_power_t(A, -1.0)
@@ -249,6 +257,14 @@ class TestGraph:
         assert dc.is_irreducible(sym([[0, 1], [1, 0]]))
         assert not dc.is_irreducible(sym(np.diag([1.0, 2.0])))
         assert dc.is_irreducible(sym([[5.0]]))
+
+    def test_long_path(self):
+        # vertex n - 1 is n - 1 edges from vertex 0; cutting one edge splits it
+        n = 400
+        path = np.diag(np.full(n, 2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        assert dc.is_irreducible(sym(path))
+        path[n // 2, n // 2 + 1] = path[n // 2 + 1, n // 2] = 0.0
+        assert not dc.is_irreducible(sym(path))
 
     @given(st.integers(1, 9), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None, derandomize=True)
