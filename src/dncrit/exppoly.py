@@ -233,8 +233,8 @@ def entry_critical_exponent(f: ExpPoly, scan: ScanConfig) -> float:
 
 
 def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> float:
-    """Empirical critical exponent: max of the entry exponents over i <= j,
-    under the window rule of ``entry_critical_exponent``."""
+    """Empirical critical exponent: max of the entry exponents over i < j
+    (a diagonal entry is never negative), by ``entry_critical_exponent``'s window rule."""
     if scan is None:
         scan = ScanConfig.for_matrix(A)
     return _matrix_critical_exponent(spectral_decompose(A), scan)
@@ -242,8 +242,8 @@ def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> fl
 
 def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
     """``matrix_critical_exponent`` on a decomposition the caller holds: the
-    entries i <= j, rows of its coefficient tensor, in one ``_last_exit``."""
-    return _last_exit(dec.entry_bases, dec.entry_coefficients[np.triu_indices(dec.n)],
+    entries i < j, rows of its coefficient tensor, in one ``_last_exit``."""
+    return _last_exit(dec.entry_bases, dec.entry_coefficients[np.triu_indices(dec.n, 1)],
                       dec.singular, scan)
 
 

@@ -29,10 +29,10 @@ ORTHO_TOL = 1e-12        # |U^T U - I| bound
 RECON_TOL = 1e-10        # |U diag(lam) U^T - A| bound, relative to max |a_ij|
 PSD_TOL = 1e-10          # eigenvalue >= -PSD_TOL * max(1, lam_1) counts as nonnegative
 INVERT_TOL = 1e-10       # lam_n > INVERT_TOL * max(1, lam_1) counts as invertible
-SIGN_TOL = 1e-8          # eigenvector sign canonicalization threshold
 MERGE_TOL = 1e-8         # eigenvalues closer than MERGE_TOL * max(1, lam_1) coincide
 ZERO_COORD_TOL = 1e-8    # an eigenvector coordinate <= this times its column's largest is zero
 EIG_SNAP_TOL = 1e-13     # |lam| <= EIG_SNAP_TOL * max |lam| is snapped to exact zero
+_GRID_BLOCK = 2**22      # products u_ik u_jk grid_entry_values holds at once (32 MiB)
 
 
 class MatrixFormatError(ValueError):
@@ -116,14 +116,15 @@ class DnReport:
 class SpectralDecomposition:
     """Eigenvalues sorted non-increasing; eigenvectors as orthonormal columns.
 
-    Column signs are canonical: the first coordinate with magnitude above
-    SIGN_TOL is positive.  The eigenvalue policy every module reads lives
-    here, each part computed at most once and read-only: ``group_starts``
-    says which eigenvalues count as equal, zero always a group of its own,
-    ``singular`` whether there is a zero, and ``generic`` whether every
-    coefficient has a sign (see ``signchange``).  The entry polynomials
-    f_ij(t) = sum_k c_ijk b_k^t follow from it: ``entry_bases`` are the b_k
-    of the other groups, ``entry_coefficients`` the c_ijk of every entry.
+    Column signs are canonical: the first nonzero coordinate, by the one
+    rule ``_nonzero_coords``, is positive.  The eigenvalue policy every
+    module reads lives here, each part computed at most once and read-only:
+    ``group_starts`` says which eigenvalues count as equal, zero always a
+    group of its own, ``singular`` whether there is a zero, and ``generic``
+    whether every coefficient has a sign (see ``signchange``).  The entry
+    polynomials f_ij(t) = sum_k c_ijk b_k^t follow from it: ``entry_bases``
+    are the b_k of the other groups, ``entry_coefficients`` the c_ijk of
+    every entry.
     """
 
     eigenvalues: np.ndarray
@@ -143,11 +144,8 @@ class SpectralDecomposition:
 
     @cached_property
     def generic(self) -> bool:
-        """n eigenvalue groups and no eigenvector coordinate at or below
-        ZERO_COORD_TOL times its column's largest: no coefficient is zero."""
-        coords = np.abs(self.eigenvectors)
-        return self.group_starts.size == self.n and bool(
-            (coords.min(axis=0) > ZERO_COORD_TOL * coords.max(axis=0)).all())
+        """n eigenvalue groups, no zero coordinate (``_nonzero_coords``): no zero coefficient."""
+        return self.group_starts.size == self.n and bool(_nonzero_coords(self.eigenvectors).all())
 
     @cached_property
     def clamped_eigenvalues(self) -> np.ndarray:
@@ -243,13 +241,18 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecompo
     scale = float(np.abs(lam).max()) if lam.size else 0.0
     lam[np.abs(lam) <= EIG_SNAP_TOL * scale] = 0.0
     u = vecs[:, order]
-    # A column's first entry past SIGN_TOL is its first True; a column with
-    # none has argmax 0 and an entry within SIGN_TOL there, so it keeps its sign.
-    lead = u[np.argmax(np.abs(u) > SIGN_TOL, axis=0), np.arange(u.shape[1])]
-    u = np.where(lead < -SIGN_TOL, -u, u)
+    # a column with no nonzero coordinate is all zeros, and -0.0 < 0 is false
+    lead = u[np.argmax(_nonzero_coords(u), axis=0), np.arange(u.shape[1])]
+    u = np.where(lead < 0.0, -u, u)
     lam.setflags(write=False)
     u.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
+
+
+def _nonzero_coords(u: np.ndarray) -> np.ndarray:
+    """The one zero-coordinate rule: |u_ik| > ZERO_COORD_TOL * max_j |u_jk|."""
+    coords = np.abs(u)
+    return coords > ZERO_COORD_TOL * coords.max(axis=0)
 
 
 def check_dn(A: SymMatrix, dec: SpectralDecomposition | None = None) -> DnReport:
@@ -307,21 +310,25 @@ def fractional_power(dec: SpectralDecomposition, t: float) -> SymMatrix:
 
 
 def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """(n, n, T) array with [i, j, a] = (A^{ts[a]})_{ij}: the (n, n, n)
-    products u_ik u_jk times the (n, T) power table, one matmul.
+    """(n, n, T) array with [i, j, a] = (A^{ts[a]})_{ij}: the products
+    u_ik u_jk times the (n, T) power table, one matmul per block of rows i.
 
     Much faster than building n^2 ExpPoly objects when every entry of every
     power on a grid is needed; the table is ``_power_table`` of every clamped
-    eigenvalue, zero included, so its t < 0 and overflow rules apply.
+    eigenvalue, zero included, so its t < 0 and overflow rules apply.  A
+    block holds at most _GRID_BLOCK products: one block up to n = 161.
 
     The value at one t can differ in its last bits with the grid's length:
-    numpy takes another matmul kernel for short grids, so ``ts[:k]`` need not
-    give the first k columns of ``ts`` bit for bit, and ``dncrit scan`` can
-    print different 17th digits for one t under two windows.
+    ``np.power`` and the matmul kernel both round a column by the window, so
+    ``dncrit scan`` can print different 17th digits for one t under two windows.
     """
     powed = _power_table(dec.clamped_eigenvalues, np.asarray(ts, dtype=float), dec.singular)
-    u = dec.eigenvectors
-    return (u[:, None, :] * u[None, :, :]) @ powed
+    u, n = dec.eigenvectors, dec.n
+    out = np.empty((n, n, powed.shape[1]))
+    rows = max(1, _GRID_BLOCK // n**2)
+    for i in range(0, n, rows):
+        np.matmul(u[i:i + rows, None, :] * u[None, :, :], powed, out=out[i:i + rows])
+    return out
 
 
 def _power_table(bases: np.ndarray, ts: np.ndarray, singular: bool) -> np.ndarray:

@@ -43,11 +43,8 @@ _KNOWN_5 = (
 )
 
 
-def known_classes(n: int) -> tuple[SignChangeMatrix, ...]:
-    """Reference classes for dimension n in display form (not canonicalized).
-    Only n=5 has a reference list."""
-    if n != 5:
-        raise ValueError(f"no reference class list for n={n}")
+def known_classes() -> tuple[SignChangeMatrix, ...]:
+    """The 21 reference classes, n = 5, in display form (not canonicalized)."""
     return tuple(SignChangeMatrix(n=5, w=w, generic=True) for w in _KNOWN_5)
 
 
@@ -77,7 +74,7 @@ class ReferenceComparison:
 def compare_with_reference(classes) -> ReferenceComparison:
     """Match canonical enumerated n=5 classes, an iterable of SignChangeMatrix
     canonical forms, against the canonicalized reference list (n=5 only)."""
-    ref_canon = {canonicalize_w(w).w: w for w in known_classes(5)}
+    ref_canon = {canonicalize_w(w).w: w for w in known_classes()}
     enum_canon = {c.w: c for c in classes}
     matched = tuple(enum_canon[k] for k in sorted(ref_canon) if k in enum_canon)
     missing = tuple(ref_canon[k] for k in sorted(ref_canon) if k not in enum_canon)

@@ -12,12 +12,13 @@ for all pairs, whose signs ``descartes_bound`` counts in one pass.
 Which W a generic matrix gets.  On a ``generic`` decomposition no
 coefficient is zero or cut, so W[i][j] counts the sign changes of s_ik s_jk
 along k, s = sign(U): popcount(flip_i XOR flip_j), as in the enumeration.
-For an invertible DN matrix s is an admissible pattern, so W is in an
-enumerated class: the Perron column is positive (lambda_1 is simple with a
-nonnegative eigenvector); flipping columns to make row 1 positive keeps
-every s_ik s_jk; and no two rows, or columns, of an orthogonal U without
-zeros agree in sign everywhere or nowhere, as their inner product would not
-vanish.  A singular matrix's W omits the zero group.
+For an invertible DN matrix s is an enumerated pattern, so W is in an
+enumerated class: ``spectral_decompose`` makes each column's first nonzero
+coordinate positive, by the rule ``generic`` reads (``_nonzero_coords``), so
+row 1 is all +; the Perron column is then all + (lambda_1 is simple with a
+nonnegative eigenvector); and no two rows, or columns, of an orthogonal U
+without zeros agree in sign everywhere or nowhere, as their inner product
+would not vanish.  A singular matrix's W omits the zero group.
 
 Structural facts used downstream: the diagonal is zero; each row and column
 holds at most one value as large as n-1 and nothing larger; off-diagonal

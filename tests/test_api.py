@@ -1,6 +1,6 @@
 """The public surface of the package: ``__all__``, its tolerance
-parameters and the functions that take powers change only by an edit to the
-lists below, and importing the package needs numpy only."""
+parameters and constants and the functions that take powers change only by
+an edit to the lists below, and importing the package needs numpy only."""
 
 import ast
 import inspect
@@ -42,6 +42,15 @@ TOLERANCE_PARAMETERS = [("ScanConfig", "endpoint_tol"), ("ScanConfig", "entry_to
 POWER_SITES = [("exppoly", "_bisect_edge"), ("matcore", "_power_table")]
 
 
+# every module-level *_TOL constant: a fixed rule, one name per rule
+TOLERANCE_CONSTANTS = [
+    ("exppoly", "COEFF_ZERO_TOL"), ("exppoly", "DEFAULT_ENDPOINT_TOL"),
+    ("exppoly", "DEFAULT_ENTRY_TOL"), ("matcore", "EIG_SNAP_TOL"), ("matcore", "INVERT_TOL"),
+    ("matcore", "MERGE_TOL"), ("matcore", "ORTHO_TOL"), ("matcore", "PSD_TOL"),
+    ("matcore", "RECON_TOL"), ("matcore", "SYM_TOL"), ("matcore", "ZERO_COORD_TOL"),
+]
+
+
 def test_all_is_pinned():
     assert sorted(dc.__all__) == PUBLIC
 
@@ -50,6 +59,16 @@ def test_tolerance_parameters_are_pinned():
     found = [(name, param) for name in sorted(dc.__all__) if callable(obj := getattr(dc, name))
              for param in inspect.signature(obj).parameters if param.endswith("_tol")]
     assert found == TOLERANCE_PARAMETERS
+
+
+def test_tolerance_constants_are_pinned():
+    found = sorted((path.stem, target.id)
+                   for path in Path(dc.__file__).parent.glob("*.py")
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                   if isinstance(target, ast.Name) and target.id.endswith("_TOL"))
+    assert found == TOLERANCE_CONSTANTS
 
 
 def test_power_sites_are_pinned():

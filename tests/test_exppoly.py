@@ -2,6 +2,7 @@
 bounds, and negativity-interval scans."""
 
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ def _grid_entry_values_oracle(dec, ts):
     return np.einsum("ik,jk,ka->ija", u, u, powed, optimize=True)
 
 
+def _grid_entry_values_unblocked(dec, ts):
+    """The one (n, n, n) @ (n, T) product ``grid_entry_values`` replaced by
+    row blocks; every block must give the same floats."""
+    powed = np.power(dec.clamped_eigenvalues[:, None], np.asarray(ts, dtype=float))
+    u = dec.eigenvectors
+    return (u[:, None, :] * u[None, :, :]) @ powed
+
+
 def _same_bits(a, b):
     """Equal shapes and equal float64 bit patterns, so -0.0 != 0.0."""
     a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
@@ -194,6 +203,30 @@ class TestGridValues:
                 assert _same_bits(grid_entry_values(dec, neg),
                                   _grid_entry_values_oracle(dec, neg))
         assert singular >= 20 and repeated >= 20
+
+    def test_grid_entry_values_row_blocks_match_unblocked(self, monkeypatch):
+        grids = [np.array([1.5]), 0.5 + 0.75 * np.arange(7), 0.01 * np.arange(301)]
+        for n in range(2, 14):
+            dec = dc.spectral_decompose(dc.random_dn(n, max(1, n - n % 3), n))
+            for ts in grids:
+                want = _grid_entry_values_unblocked(dec, ts)
+                for rows in range(1, 8):
+                    monkeypatch.setattr(dc.matcore, "_GRID_BLOCK", rows * n**2)
+                    assert _same_bits(grid_entry_values(dec, ts), want)
+                monkeypatch.undo()
+                assert _same_bits(grid_entry_values(dec, ts), want)
+
+    def test_grid_entry_values_memory_is_bounded(self):
+        # the unblocked product holds n^3 floats: 216 MB at n = 300
+        dec = dc.spectral_decompose(dc.random_dn(300, 300, 0))
+        dec.clamped_eigenvalues  # cached before tracing: the peak is the product's
+        tracemalloc.start()
+        try:
+            vals = grid_entry_values(dec, [0.5, 1.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (300, 300, 2) and peak <= 40e6
 
     def test_grid_entry_values_singular_negative_t_raises(self):
         dec = dc.spectral_decompose(dc.random_dn(5, 3, 0))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import dncrit as dc
 from conftest import is_irreducible_oracle
 from dncrit.matcore import (
-    SIGN_TOL,
+    ZERO_COORD_TOL,
     MatrixFormatError,
     NegativeEigenvalueError,
     NotSymmetricError,
@@ -35,11 +35,11 @@ def random_symmetric(n, seed):
 def _signed_columns_oracle(diag, vecs):
     """The per-column loop the array sign fix-up replaced: the columns in
     non-increasing eigenvalue order, each negated when its first entry past
-    SIGN_TOL is negative."""
+    ZERO_COORD_TOL times the column's largest magnitude is negative."""
     u = vecs[:, np.argsort(-diag, kind="stable")].copy()
     for k in range(u.shape[1]):
         col = u[:, k]
-        big = np.nonzero(np.abs(col) > SIGN_TOL)[0]
+        big = np.nonzero(np.abs(col) > ZERO_COORD_TOL * np.abs(col).max())[0]
         if big.size and col[big[0]] < 0:
             u[:, k] = -col
     return u
@@ -95,7 +95,7 @@ class TestDecomposition:
             assert (np.diff(dec.eigenvalues) <= 1e-12).all()
             for k in range(5):
                 col = dec.eigenvectors[:, k]
-                lead = col[np.abs(col) > 1e-8][0]
+                lead = col[np.abs(col) > ZERO_COORD_TOL * np.abs(col).max()][0]
                 assert lead > 0
 
     def test_against_mpmath_oracle(self):
@@ -125,12 +125,13 @@ class TestDecomposition:
                  for seed in range(40)]
         cases += [np.linalg.eigh(a) for a in (np.zeros((3, 3)), np.eye(4), np.ones((5, 5)),
                                               np.diag([3.0, 1.0, 2.0]))]
-        # columns with no entry past SIGN_TOL, signed zeros, and a negative
-        # entry within SIGN_TOL ahead of the first one past it
-        vecs = np.array([[-0.0, -1e-9, 0.0, -5e-9, 1e-9],
-                         [0.0, 2e-9, -0.0, 0.5, -0.0],
-                         [-0.0, -3e-9, -0.0, -0.5, -0.7]])
-        cases.append((np.array([1.0, 2.0, 2.0, 0.5, -1.0]), vecs))
+        # columns of signed zeros, a column of tiny entries, a negative entry
+        # at the relative bound ahead of the first one past it, and one just
+        # past the bound that the old absolute 1e-8 rule skipped
+        vecs = np.array([[-0.0, -1e-9, 0.0, -5e-9, 1e-9, -9.3e-9],
+                         [0.0, 2e-9, -0.0, 0.5, -0.0, 0.75],
+                         [-0.0, -3e-9, -0.0, -0.5, -0.7, -0.66]])
+        cases.append((np.array([1.0, 2.0, 2.0, 0.5, -1.0, 0.25]), vecs))
         flipped = 0
         for diag, vecs in cases:
             want = _signed_columns_oracle(diag, vecs)

@@ -1,5 +1,6 @@
 """Sign change matrix construction, structural validation, component bound."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -129,6 +130,52 @@ DRAW_558 = (
     (0, 0, 0, 0, 9.6884388701395319e-05, 1.4702536135988187),
 )
 
+# draw k = 236 of ``weakly_coupled_draws``: a generic matrix whose row 1 holds
+# a coordinate of -9.3e-9 in a column whose largest is 0.75, which an
+# absolute 1e-8 sign rule skipped, leaving row 1 of sign(U) with a -
+DRAW_236 = (
+    (2.1875282949338648, 1.09229259574003, 5.0403271448847728e-07, 5.6879224976724414e-07),
+    (1.09229259574003, 0.89512010198459513, 3.5877966052182372e-07, 3.9591270487627228e-07),
+    (5.0403271448847728e-07, 3.5877966052182372e-07, 1.1406652223015301, 1.2631822198716929),
+    (5.6879224976724414e-07, 3.9591270487627228e-07, 1.2631822198716929, 1.4396329876875362),
+)
+
+
+def weakly_coupled_draws():
+    """2,000 seeded DN matrices, k = 0..1999 from one default_rng(5):
+    n = 3 + k % 5, eps = 10^U(-12, -6), B = G G^T with G uniform on [0, 1]
+    of size n x n, and both off-diagonal blocks of the split at n // 2
+    scaled by eps (a convex mix of B and its block diagonal, so DN)."""
+    rng = np.random.default_rng(5)
+    for k in range(2000):
+        n = 3 + k % 5
+        eps = 10.0 ** rng.uniform(-12.0, -6.0)
+        g = rng.uniform(0.0, 1.0, size=(n, n))
+        b = g @ g.T
+        b[:n // 2, n // 2:] *= eps
+        b[n // 2:, :n // 2] *= eps
+        yield sym(b)
+
+
+@functools.cache
+def _enumerated_patterns(n):
+    return frozenset(p.s for p in dc.enumerate_sign_patterns(n))
+
+
+def _check_enumerated_pattern(dec):
+    """sign(U) of a generic invertible DN decomposition is in the
+    enumeration's normal form, and its flip words give the library's W."""
+    n = dec.n
+    s = np.where(dec.eigenvectors > 0.0, 1, -1)
+    assert (s[0] == 1).all() and (s[:, 0] == 1).all()
+    rows = tuple(map(tuple, s.tolist()))
+    assert len(set(rows)) == n and len(set(zip(*rows))) == n
+    if n <= 5:
+        assert rows in _enumerated_patterns(n)
+    flips = [sum(1 << k for k in range(n - 1) if r[k] != r[k + 1]) for r in rows]
+    w = tuple(tuple((fi ^ fj).bit_count() for fj in flips) for fi in flips)
+    assert dc.sign_change_matrix(dec).w == w
+
 
 class TestGenericW:
     """A generic invertible DN matrix's W is its sign pattern's W, so its
@@ -140,6 +187,28 @@ class TestGenericW:
         assert dec.generic and W.generic
         assert W[1, 3] == 4 and _sign_change_matrix_oracle(dec, COEFF_ZERO_TOL)[1, 3] == 2
         assert dc.canonicalize_w(W) in dc.enumerate_w_classes(6)
+
+    def test_draw_236_row_1_is_positive(self):
+        dec = dc.spectral_decompose(sym(DRAW_236))
+        assert dec.generic and np.abs(dec.eigenvectors[0]).min() <= 1e-8
+        _check_enumerated_pattern(dec)
+
+    @pytest.mark.parametrize("source", ["gram", "tridiagonal", "weakly coupled"])
+    def test_sign_pattern_is_enumerated(self, source):
+        if source == "weakly coupled":
+            draws = weakly_coupled_draws()
+        else:
+            rng = np.random.default_rng(24)
+            draws = (dc.random_dn(n, n, int(rng.integers(2**31))) if source == "gram"
+                     else dc.random_tridiagonal_dn(n, rng)
+                     for _ in range(200) for n in range(3, 8))
+        checked = 0
+        for A in draws:
+            dec = dc.spectral_decompose(A)
+            if dec.generic and dc.check_dn(A, dec=dec).is_invertible:
+                _check_enumerated_pattern(dec)
+                checked += 1
+        assert checked == {"gram": 1000, "tridiagonal": 1000, "weakly coupled": 288}[source]
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_spectral_data_corpus_lands_in_classes(self, n):
@@ -291,7 +360,7 @@ class TestValidation:
         # every enumerated class and reference class is valid, and so is the
         # W of a generic DN matrix
         classes = [W for n in range(1, 7) for W in dc.enumerate_w_classes(n)]
-        classes += dc.known_classes(5)
+        classes += dc.known_classes()
         drawn = [dc.sign_change_matrix(dc.random_dn(n, n, seed))
                  for n in range(1, 8) for seed in range(10)]
         for W in classes + drawn:
