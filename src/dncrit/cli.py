@@ -23,11 +23,13 @@ from .certify import (
     lower_bound,
 )
 from .enumeration import _count_sign_patterns, enumerate_sign_patterns, enumerate_w_classes
-from .exppoly import DEFAULT_STEP, ScanConfig, grid_entry_values
+from .exppoly import DEFAULT_STEP, ScanConfig
 from .matcore import (
     MatrixFormatError,
     NotSymmetricError,
     SymMatrix,
+    _grid_rows,
+    _power_table,
     check_dn,
     format_matrix,
     matrix_power_t,
@@ -207,14 +209,18 @@ def cmd_scan(args) -> int:
 
 def emit_scan(A: SymMatrix, scan: ScanConfig, entries) -> str:
     """CSV of entry values along the grid: header t,i,j,value, 1-based
-    indices, 17 significant digits."""
+    indices, 17 significant digits, computed one requested row at a time."""
     dec = spectral_decompose(A)
     ts = scan.grid()
-    vals = grid_entry_values(dec, ts)
+    powed = _power_table(dec.clamped_eigenvalues, ts, dec.singular)
+    vals = {}
+    for i in dict.fromkeys(i for i, _ in entries):
+        row = _grid_rows(dec.eigenvectors, powed, slice(i, i + 1))[0]
+        vals.update({(i, j): row[j].tolist() for r, j in entries if r == i})
     lines = ["t,i,j,value"]
     for a, t in enumerate(ts):
         for i, j in entries:
-            lines.append(f"{t:.17g},{i + 1},{j + 1},{vals[i, j, a]:.17g}")
+            lines.append(f"{t:.17g},{i + 1},{j + 1},{vals[i, j][a]:.17g}")
     return "\n".join(lines) + "\n"
 
 

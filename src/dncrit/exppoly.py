@@ -181,44 +181,44 @@ def negative_intervals(f: ExpPoly, scan: ScanConfig) -> tuple[NegativeInterval, 
     flips = np.flatnonzero(neg[1:] != neg[:-1])
     if flips.size == 0:
         return ()
-    b_col = b[:, None]
     last = len(ts) - 1
     intervals = []
     # flips pair up: a run covers grid indices start .. stop - 1
     for start, stop in zip(flips[0::2].tolist(), flips[1::2].tolist()):
         lo_clip = start == 0
         hi_clip = stop - 1 == last
-        lo = scan.t_min if lo_clip else _bisect_edge(b_col, c, float(ts[start - 1]),
+        lo = scan.t_min if lo_clip else _bisect_edge(b, c, float(ts[start - 1]),
                                                      float(ts[start]), scan)
-        hi = scan.t_max if hi_clip else _bisect_edge(b_col, c, float(ts[stop]),
+        hi = scan.t_max if hi_clip else _bisect_edge(b, c, float(ts[stop]),
                                                      float(ts[stop - 1]), scan)
         intervals.append(NegativeInterval(lo=float(lo), hi=float(hi),
                                           lo_clipped=lo_clip, hi_clipped=hi_clip))
     return tuple(intervals)
 
 
-def _bisect_edge(b_col: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
+def _bisect_edge(b: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
                  scan: ScanConfig) -> float:
     """Shrink the bracket between t_out (f >= -entry_tol) and t_in
-    (f < -entry_tol) onto the sign crossing of f = c @ b_col^t, to within
+    (f < -entry_tol) onto the sign crossing of f = c . b^t, to within
     endpoint_tol or until the midpoint no longer splits the bracket.
 
     Runs are detected at the -entry_tol level so fp noise cannot seed them,
     but endpoints refine against 0: that is what makes measured interval
     ends land on the actual roots (e.g. integer endpoints for tridiagonal
-    witnesses) instead of sitting one noise-width inside them.  Each step
-    evaluates f exactly as ``eval_exppoly`` does at a scalar t: the (K, 1)
-    bases against a (1, 1) t, without ``_power_table``: b^t is monotone in t
-    and the bracket ends are grid points whose table columns passed its rules.
+    witnesses) instead of sitting one noise-width inside them.  A step is one
+    ``np.power`` into a (K,) buffer and one ``ndarray.dot``: BLAS ddot, as in
+    ``eval_exppoly``'s (1, K) @ (K, 1) at a scalar t, so bit-equal to it;
+    ``P @ c`` (gemv), einsum or a sum round otherwise.  No ``_power_table``:
+    b^t is monotone in t and the bracket ends passed its rules as grid points.
     """
     lo, hi = t_out, t_in
-    t = np.empty((1, 1))
-    while abs(hi - lo) > scan.endpoint_tol:
+    tol = scan.endpoint_tol
+    powed = np.empty_like(b)
+    while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        t[0, 0] = mid
-        if (c @ np.power(b_col, t))[0] < 0.0:
+        if c.dot(np.power(b, mid, out=powed)) < 0.0:
             hi = mid
         else:
             lo = mid
@@ -285,5 +285,5 @@ def _last_exit(bases: np.ndarray, coeffs: np.ndarray, singular: bool,
     last = int(cols[-1])
     if last == ts.size - 1:
         return max(0.0, float(scan.t_max))
-    return max(0.0, *(_bisect_edge(bases[:, None], c, float(ts[last + 1]), float(ts[last]),
-                                   scan) for c in coeffs[neg[:, last]]))
+    return max(0.0, *(_bisect_edge(bases, c, float(ts[last + 1]), float(ts[last]), scan)
+                      for c in coeffs[neg[:, last]]))

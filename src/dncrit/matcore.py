@@ -327,8 +327,15 @@ def grid_entry_values(dec: SpectralDecomposition, ts) -> np.ndarray:
     out = np.empty((n, n, powed.shape[1]))
     rows = max(1, _GRID_BLOCK // n**2)
     for i in range(0, n, rows):
-        np.matmul(u[i:i + rows, None, :] * u[None, :, :], powed, out=out[i:i + rows])
+        _grid_rows(u, powed, slice(i, i + rows), out=out[i:i + rows])
     return out
+
+
+def _grid_rows(u: np.ndarray, powed: np.ndarray, rows: slice, out=None) -> np.ndarray:
+    """(r, n, T) values of the rows ``rows`` of A^t from the eigenvectors u and
+    the (n, T) power table: the one product of ``grid_entry_values`` (per row
+    block) and ``dncrit scan`` (per row); a row's values do not depend on its block."""
+    return np.matmul(u[rows, None, :] * u[None, :, :], powed, out=out)
 
 
 def _power_table(bases: np.ndarray, ts: np.ndarray, singular: bool) -> np.ndarray:

@@ -178,6 +178,23 @@ def _bisect_edge_oracle(f: ExpPoly, t_out, t_in, scan: ScanConfig) -> float:
     return 0.5 * (lo + hi)
 
 
+def bisect_edge_matmul_oracle(b: np.ndarray, c: np.ndarray, t_out: float, t_in: float,
+                              scan: ScanConfig) -> float:
+    """The bisection loop ``exppoly._bisect_edge`` replaced: each step is the
+    (K,) coefficients against the (K, 1) bases powered by a (1, 1) t, through
+    the matmul gufunc.  The library's ddot step must give its floats exactly."""
+    lo, hi = t_out, t_in
+    while abs(hi - lo) > scan.endpoint_tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if (c @ np.power(b[:, None], np.array([[mid]])))[0] < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def matrix_critical_exponent_oracle(A: dc.SymMatrix, scan: ScanConfig | None = None) -> float:
     """Max over i <= j of the oracle scan's largest upper endpoint, one
     ExpPoly evaluation per entry."""

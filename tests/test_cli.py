@@ -3,12 +3,14 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dncrit as dc
-from dncrit.cli import main
+from dncrit.cli import emit_scan, main
+from dncrit.exppoly import ScanConfig, grid_entry_values
 from dncrit.matcore import NegativeEigenvalueError, parse_matrix
 
 
@@ -330,6 +332,45 @@ class TestScan:
         body = out_path.read_text()
         assert body.startswith("t,i,j,value\n")
         assert len(body.strip().splitlines()) == 1 + 201
+
+
+def _emit_scan_full_grid(A, scan, entries):
+    """The ``emit_scan`` that built the whole (n, n, T) grid to print a few
+    entries of it; the row-at-a-time one must write the same bytes."""
+    ts = scan.grid()
+    vals = grid_entry_values(dc.spectral_decompose(A), ts)
+    lines = ["t,i,j,value"]
+    for a, t in enumerate(ts):
+        for i, j in entries:
+            lines.append(f"{t:.17g},{i + 1},{j + 1},{vals[i, j, a]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestScanRows:
+    """``dncrit scan --entry`` computes only the requested rows."""
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0)], [(0, 5), (5, 0)], [(3, 2), (0, 0), (3, 2), (5, 5), (3, 4)],
+        [(i, j) for i in range(6) for j in range(i, 6)],
+    ])
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_csv_matches_full_grid(self, entries, rank):
+        # rank 3 is singular: its zero eigenvalue adds 0^0 = 1 at t = 0
+        A = dc.random_dn(6, rank, 2)
+        assert dc.spectral_decompose(A).singular == (rank < 6)
+        for scan in (ScanConfig(), ScanConfig(t_min=0.37, t_max=4.2, step=0.03)):
+            assert emit_scan(A, scan, entries) == _emit_scan_full_grid(A, scan, entries)
+
+    def test_memory_is_bounded(self):
+        # the whole (100, 100, 1001) grid is 80 MB
+        A = dc.random_dn(100, 100, 0)
+        tracemalloc.start()
+        try:
+            emit_scan(A, ScanConfig(), [(0, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
 
 class TestOnePsdRule:

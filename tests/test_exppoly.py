@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import dncrit as dc
 from conftest import (
+    _bisect_edge_oracle,
+    bisect_edge_matmul_oracle,
     dec_critical_exponent_oracle,
     generic_oracle,
     grid_sign_alternations,
@@ -28,7 +30,9 @@ from dncrit.exppoly import (
     ExpPoly,
     NegativeInterval,
     ScanConfig,
+    _bisect_edge,
     _grid_values,
+    eval_exppoly,
     grid_entry_values,
 )
 from dncrit.matcore import (
@@ -875,6 +879,90 @@ class TestScanOracle:
             dc.matrix_critical_exponent(A, scan)
         with pytest.raises(ZeroToNegativePowerError):
             dc.matrix_critical_exponent(sym(np.zeros((2, 2))), scan)
+
+
+@st.composite
+def _bisect_cases(draw):
+    """Positive decreasing bases (K = 1..40), a row of a 2-D coefficient
+    array, and a bracket of neighbouring points on a grid whose t_min is not 0
+    (at 0.005 and step 0.01 a midpoint lands on 0.5).  Half the draws put the
+    bases one ulp apart above 1 and make each row sum to about 0: f is then
+    rounding noise, and its sign at a midpoint depends on the summation order."""
+    noise = draw(st.booleans())
+    if noise:
+        k = draw(st.integers(2, 40))
+        b = 1.0 + np.finfo(float).eps * np.arange(k, 0, -1)
+    else:
+        logs = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40, unique=True))
+        b = np.array(sorted(set(np.exp(logs).tolist()), reverse=True))
+    rows = draw(st.integers(1, 4))
+    coeffs = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=rows * b.size,
+                                    max_size=rows * b.size))).reshape(rows, b.size)
+    if noise:
+        coeffs[:, -1] = -coeffs[:, :-1].sum(axis=1)
+    c = coeffs[draw(st.integers(0, rows - 1))]
+    t_min = draw(st.sampled_from([0.005, 0.73, -0.995]))
+    step = draw(st.sampled_from([0.01, 0.05]))
+    a = draw(st.integers(0, int((20.0 - t_min) / step) - 1))
+    scan = ScanConfig(t_min=t_min, t_max=t_min + step * (a + 1), step=step)
+    ts = scan.grid()
+    t_out, t_in = (ts[a], ts[a + 1]) if draw(st.booleans()) else (ts[a + 1], ts[a])
+    extra = draw(st.lists(st.floats(min(t_min, 0.0), 20.0), max_size=6))
+    return b, c, float(t_out), float(t_in), scan, extra
+
+
+class TestBisectStep:
+    """One bisection step is one np.power into a (K,) buffer and one ddot:
+    the same floats as the (1, K) @ (K, 1) matmul of the old step and of
+    ``eval_exppoly``."""
+
+    @given(_bisect_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_step_is_bit_exact(self, case):
+        b, c, t_out, t_in, scan, extra = case
+        f = ExpPoly(tuple(b.tolist()), tuple(c.tolist()))
+        got = _bisect_edge(b, c, t_out, t_in, scan)
+        assert got == bisect_edge_matmul_oracle(b, c, t_out, t_in, scan)
+        assert got == _bisect_edge_oracle(f, t_out, t_in, scan)
+        buf = np.empty_like(b)
+        for t in (t_out, t_in, 0.5 * (t_out + t_in), got, 0.5, *extra):
+            assert c.dot(np.power(b, t, out=buf)) == eval_exppoly(f, t), t
+
+    def test_bracket_around_one_half(self):
+        scan = ScanConfig(t_min=0.005, t_max=1.0)
+        ts = scan.grid()
+        assert 0.5 * (ts[49] + ts[50]) == 0.5   # the first midpoint
+        f = dc.entry_exppoly(dc.spectral_decompose(tridiag(4)), 0, 3)
+        b, c = np.array(f.bases), np.array(f.coefficients)
+        for t_out, t_in in ((ts[49], ts[50]), (ts[50], ts[49])):
+            t_out, t_in = float(t_out), float(t_in)
+            got = _bisect_edge(b, c, t_out, t_in, scan)
+            assert got == bisect_edge_matmul_oracle(b, c, t_out, t_in, scan)
+            assert got == _bisect_edge_oracle(f, t_out, t_in, scan)
+
+    @staticmethod
+    def _persymmetric(n, seed):
+        m = dc.random_dn(n, n, seed).entries
+        return sym((m + m[::-1, ::-1]) / 2)
+
+    @pytest.mark.parametrize("n, seed", [(5, 1), (5, 7), (5, 72), (6, 1), (6, 5), (6, 28)])
+    def test_last_exit_refines_several_entries(self, n, seed, monkeypatch):
+        # a persymmetric matrix has equal entries (i, j) and (n-1-j, n-1-i),
+        # so two entries leave their last negative grid point together
+        A = self._persymmetric(n, seed)
+        calls = []
+        bisect = dc.exppoly._bisect_edge
+
+        def spy(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(dc.exppoly, "_bisect_edge", spy)
+        got = dc.matrix_critical_exponent(A)
+        assert len(calls) >= 2
+        assert got == dec_critical_exponent_oracle(dc.spectral_decompose(A),
+                                                   ScanConfig.for_matrix(A))
+        assert got > 0.0
 
 
 class TestWindowBelowZero:
