@@ -9,9 +9,13 @@ claims verified, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
+from typing import Iterator
+
+import numpy as np
 
 from . import __version__
 from .certify import (
@@ -199,29 +203,31 @@ def cmd_scan(args) -> int:
             entries.append((i - 1, j - 1))
     else:
         entries = [(i, j) for i in range(A.n) for j in range(i, A.n)]
-    text = emit_scan(A, scan, entries)
+    chunks = emit_scan(A, scan, entries)
     if args.out:
-        _write_out(args, text)
+        with open(args.out, "w") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 
-def emit_scan(A: SymMatrix, scan: ScanConfig, entries) -> str:
+def emit_scan(A: SymMatrix, scan: ScanConfig, entries) -> Iterator[str]:
     """CSV of entry values along the grid: header t,i,j,value, 1-based
-    indices, 17 significant digits, computed one requested row at a time."""
+    indices, 17 significant digits.  The values are computed here, one
+    requested row at a time, so every error is raised before any output; the
+    returned iterator formats the lines of one grid point at a time."""
     dec = spectral_decompose(A)
     ts = scan.grid()
     powed = _power_table(dec.clamped_eigenvalues, ts, dec.singular)
-    vals = {}
+    vals = np.empty((ts.size, len(entries)))  # [a, k]: entry k at ts[a]
     for i in dict.fromkeys(i for i, _ in entries):
-        row = _grid_rows(dec.eigenvectors, powed, slice(i, i + 1))[0]
-        vals.update({(i, j): row[j].tolist() for r, j in entries if r == i})
-    lines = ["t,i,j,value"]
-    for a, t in enumerate(ts):
-        for i, j in entries:
-            lines.append(f"{t:.17g},{i + 1},{j + 1},{vals[i, j][a]:.17g}")
-    return "\n".join(lines) + "\n"
+        ks, js = zip(*((k, j) for k, (r, j) in enumerate(entries) if r == i))
+        vals[:, ks] = _grid_rows(dec.eigenvectors, powed, slice(i, i + 1))[0, js].T
+    labels = [f"{i + 1},{j + 1}," for i, j in entries]
+    return itertools.chain(["t,i,j,value\n"], (
+        "".join(f"{t:.17g},{ij}{v:.17g}\n" for ij, v in zip(labels, row.tolist()))
+        for t, row in zip(ts.tolist(), vals)))
 
 
 def cmd_search(args) -> int:

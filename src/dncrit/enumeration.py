@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .matcore import _upper
 from .signchange import InvalidWError, SignChangeMatrix
 
 ENUM_MAX_N = 6  # sign patterns one by one: 15.2M at n=6, 3.8e10 at n=7
@@ -110,16 +111,6 @@ def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
     rows = [w[i] for i in p]
     return SignChangeMatrix(n=n, w=tuple(tuple(r[j] for j in p) for r in rows),
                             generic=W.generic)
-
-
-@functools.cache
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``: W's strict-upper entries, row-major, the
-    digit order of its key."""
-    upper = np.triu_indices(n, 1)
-    for a in upper:
-        a.setflags(write=False)  # one cached pair serves every caller
-    return upper
 
 
 def _key_shifts(n: int) -> np.ndarray:

@@ -262,19 +262,21 @@ def check_three_eigenvalue_theorem(A: SymMatrix) -> WitnessReport:
 def check_monotonicity(A: SymMatrix, r: float) -> WitnessReport:
     """Verify B^t >= A^t entry-wise on the grid t in [0, 10], B = A + r x1 x1^T.
 
-    Needs a simple top eigenvalue; r >= 0.
+    Needs a simple top eigenvalue; r >= 0.  B is not decomposed: it has A's
+    eigenvectors, eigenvalues lambda_1 + r, lambda_2, ..., lambda_n.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     dec = spectral_decompose(A)
-    # the top group ends where the second starts, or at n when it is alone
-    if np.append(dec.group_starts[1:], A.n)[0] > 1:
+    # simple: a group starts at index 1, or n = 1
+    if A.n > 1 and 1 not in dec.group_starts:
         raise RepeatedTopEigenvalueError("top eigenvalue is not simple")
-    x1 = dec.eigenvectors[:, 0]
-    B = SymMatrix.from_array(A.entries + r * np.outer(x1, x1))
+    lam = dec.eigenvalues.copy()
+    lam[0] += r
     scan = ScanConfig.for_matrix(A, t_min=0.0, t_max=10.0)
     ts = scan.grid()
-    diff = grid_entry_values(spectral_decompose(B), ts) - grid_entry_values(dec, ts)
+    diff = (grid_entry_values(_finish_decomposition(lam, dec.eigenvectors), ts)
+            - grid_entry_values(dec, ts))
     min_value, argmin_t, ok = _grid_minimum(diff, ts, scan.entry_tol)
     claims = (
         (f"B^t - A^t >= -entry_tol entry-wise on grid [{scan.t_min:g}, {scan.t_max:g}], "

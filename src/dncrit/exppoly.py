@@ -24,6 +24,7 @@ from .matcore import (
     SpectralDecomposition,
     SymMatrix,
     _power_table,
+    _upper,
     grid_entry_values,
     spectral_decompose,
 )
@@ -243,7 +244,7 @@ def matrix_critical_exponent(A: SymMatrix, scan: ScanConfig | None = None) -> fl
 def _matrix_critical_exponent(dec: SpectralDecomposition, scan: ScanConfig) -> float:
     """``matrix_critical_exponent`` on a decomposition the caller holds: the
     entries i < j, rows of its coefficient tensor, in one ``_last_exit``."""
-    return _last_exit(dec.entry_bases, dec.entry_coefficients[np.triu_indices(dec.n, 1)],
+    return _last_exit(dec.entry_bases, dec.entry_coefficients[_upper(dec.n)],
                       dec.singular, scan)
 
 

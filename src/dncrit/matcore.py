@@ -17,7 +17,7 @@ immutable arrays, so two threads racing on them compute the same value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -175,9 +175,11 @@ class SpectralDecomposition:
     def entry_coefficients(self) -> np.ndarray:
         """(n, n, K) tensor whose [i, j] row holds entry (i, j)'s
         coefficients: the products u_ik u_jk summed over each group, one per
-        base of ``entry_bases``."""
+        base of ``entry_bases``; with n groups, the products themselves."""
         u = self.eigenvectors
-        coeffs = np.add.reduceat(u[:, None, :] * u[None, :, :], self.group_starts, axis=-1)
+        coeffs = u[:, None, :] * u[None, :, :]
+        if self.group_starts.size < self.n:  # reduceat returns one-term groups as they are
+            coeffs = np.add.reduceat(coeffs, self.group_starts, axis=-1)
         coeffs = coeffs[..., :self.entry_bases.size]
         coeffs.setflags(write=False)
         return coeffs
@@ -290,11 +292,14 @@ def _group_starts(lam: np.ndarray) -> np.ndarray:
     from collapsing into one group wider than the tolerance.  A value <= 0
     never joins a group that starts above 0, whose power it cannot share.
     """
-    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
+    values = lam.tolist()
+    first = values[0]  # the current group's first value
+    tol = MERGE_TOL * max(1.0, abs(first))
     starts = [0]
-    for k in range(1, lam.size):
-        if lam[starts[-1]] - lam[k] > tol or lam[k] <= 0.0 < lam[starts[-1]]:
+    for k, v in enumerate(values[1:], start=1):
+        if first - v > tol or v <= 0.0 < first:
             starts.append(k)
+            first = v
     return np.array(starts, dtype=np.intp)
 
 
@@ -348,11 +353,20 @@ def _power_table(bases: np.ndarray, ts: np.ndarray, singular: bool) -> np.ndarra
         raise ZeroToNegativePowerError("t < 0 with a zero eigenvalue")
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.power(bases[:, None], ts)
-    finite = np.isfinite(table)
-    if not finite.all():
-        t = float(np.ravel(ts)[finite.all(axis=0).argmin()])
+    if not table.max(initial=0.0) < np.inf:  # NaN fails too; the table is >= 0
+        t = float(np.ravel(ts)[np.isfinite(table).all(axis=0).argmin()])
         raise ValueError(f"A^t is not finite in float64 at t={t!r}")
     return table
+
+
+@cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per n: the strict-upper entries,
+    row-major, which the exponents scan and the order of a W key's digits."""
+    upper = np.triu_indices(n, 1)
+    for a in upper:
+        a.setflags(write=False)  # one cached pair serves every caller
+    return upper
 
 
 def _is_psd(lam: np.ndarray) -> bool:

@@ -54,6 +54,19 @@ def generic_oracle(dec: dc.SpectralDecomposition) -> bool:
     return distinct == dec.n and bool((u.min(axis=0) > ZERO_COORD_TOL * u.max(axis=0)).all())
 
 
+def group_starts_oracle(lam: np.ndarray) -> np.ndarray:
+    """``matcore._group_starts`` as it was, indexing NumPy scalars in its
+    loop: a value joins the current group while it lies within
+    MERGE_TOL * max(1, |lam_1|) of the group's first value, and a value <= 0
+    never joins a group that starts above 0."""
+    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
+    starts = [0]
+    for k in range(1, lam.size):
+        if lam[starts[-1]] - lam[k] > tol or lam[k] <= 0.0 < lam[starts[-1]]:
+            starts.append(k)
+    return np.array(starts, dtype=np.intp)
+
+
 def sign_cut_oracle(dec: dc.SpectralDecomposition, cmax: float) -> float:
     """The sign cut of an entry whose largest |coefficient| is cmax: 0 on a
     generic decomposition (``generic_oracle``), COEFF_ZERO_TOL * cmax on any

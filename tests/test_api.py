@@ -1,6 +1,7 @@
 """The public surface of the package: ``__all__``, its tolerance
-parameters and constants and the functions that take powers change only by
-an edit to the lists below, and importing the package needs numpy only."""
+parameters and constants and the functions that take powers or build
+upper-triangle indices change only by an edit to the lists below, and
+importing the package needs numpy only."""
 
 import ast
 import inspect
@@ -42,6 +43,11 @@ TOLERANCE_PARAMETERS = [("ScanConfig", "endpoint_tol"), ("ScanConfig", "entry_to
 POWER_SITES = [("exppoly", "_bisect_edge"), ("matcore", "_power_table")]
 
 
+# the functions that call np.triu_indices; every other reader of the
+# strict-upper entries takes matcore._upper's pair, built once per n
+UPPER_SITES = [("matcore", "_upper")]
+
+
 # every module-level *_TOL constant: a fixed rule, one name per rule
 TOLERANCE_CONSTANTS = [
     ("exppoly", "COEFF_ZERO_TOL"), ("exppoly", "DEFAULT_ENDPOINT_TOL"),
@@ -71,20 +77,29 @@ def test_tolerance_constants_are_pinned():
     assert found == TOLERANCE_CONSTANTS
 
 
-def test_power_sites_are_pinned():
+def _call_sites(func: str) -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every call of ``func`` in the package."""
     found = []
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.power":
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == func:
             found.append((module, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
     for path in sorted(Path(dc.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert found == POWER_SITES
+    return found
+
+
+def test_power_sites_are_pinned():
+    assert _call_sites("np.power") == POWER_SITES
+
+
+def test_upper_sites_are_pinned():
+    assert _call_sites("np.triu_indices") == UPPER_SITES
 
 
 def test_all_names_resolve():

@@ -11,7 +11,7 @@ import pytest
 import dncrit as dc
 from dncrit.cli import emit_scan, main
 from dncrit.exppoly import ScanConfig, grid_entry_values
-from dncrit.matcore import NegativeEigenvalueError, parse_matrix
+from dncrit.matcore import NegativeEigenvalueError, _grid_rows, _power_table, parse_matrix
 
 
 def write_matrix(path, rows):
@@ -334,6 +334,23 @@ class TestScan:
         assert len(body.strip().splitlines()) == 1 + 201
 
 
+def _emit_scan_joined(A, scan, entries):
+    """The ``emit_scan`` that joined the whole CSV in memory, its values held
+    as Python floats; the streamed one must write the same bytes."""
+    dec = dc.spectral_decompose(A)
+    ts = scan.grid()
+    powed = _power_table(dec.clamped_eigenvalues, ts, dec.singular)
+    vals = {}
+    for i in dict.fromkeys(i for i, _ in entries):
+        row = _grid_rows(dec.eigenvectors, powed, slice(i, i + 1))[0]
+        vals.update({(i, j): row[j].tolist() for r, j in entries if r == i})
+    lines = ["t,i,j,value"]
+    for a, t in enumerate(ts):
+        for i, j in entries:
+            lines.append(f"{t:.17g},{i + 1},{j + 1},{vals[i, j][a]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
 def _emit_scan_full_grid(A, scan, entries):
     """The ``emit_scan`` that built the whole (n, n, T) grid to print a few
     entries of it; the row-at-a-time one must write the same bytes."""
@@ -352,25 +369,63 @@ class TestScanRows:
     @pytest.mark.parametrize("entries", [
         [(0, 0)], [(0, 5), (5, 0)], [(3, 2), (0, 0), (3, 2), (5, 5), (3, 4)],
         [(i, j) for i in range(6) for j in range(i, 6)],
+        [(i, j) for i in range(6) for j in range(6)],
     ])
     @pytest.mark.parametrize("rank", [6, 3])
     def test_csv_matches_full_grid(self, entries, rank):
-        # rank 3 is singular: its zero eigenvalue adds 0^0 = 1 at t = 0
+        # rank 3 is singular: its zero eigenvalue adds 0^0 = 1 at t = 0; the
+        # streamed CSV is also byte for byte the joined one
         A = dc.random_dn(6, rank, 2)
         assert dc.spectral_decompose(A).singular == (rank < 6)
-        for scan in (ScanConfig(), ScanConfig(t_min=0.37, t_max=4.2, step=0.03)):
-            assert emit_scan(A, scan, entries) == _emit_scan_full_grid(A, scan, entries)
+        for scan in (ScanConfig(), ScanConfig(t_min=0.37, t_max=4.2, step=0.03),
+                     ScanConfig(t_min=2.0, t_max=2.0)):
+            got = "".join(emit_scan(A, scan, entries))
+            assert got == _emit_scan_full_grid(A, scan, entries) == _emit_scan_joined(
+                A, scan, entries)
 
     def test_memory_is_bounded(self):
         # the whole (100, 100, 1001) grid is 80 MB
         A = dc.random_dn(100, 100, 0)
         tracemalloc.start()
         try:
-            emit_scan(A, ScanConfig(), [(0, 0)])
+            "".join(emit_scan(A, ScanConfig(), [(0, 0)]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 10e6
+
+
+class TestScanStream:
+    """``dncrit scan`` writes its CSV one grid point at a time, byte for byte
+    what the joined CSV was (also checked in ``TestScanRows``)."""
+
+    def test_cli_output_is_the_stream(self, tmp_path, capsys):
+        A = dc.random_dn(5, 3, 1)
+        path = write_matrix(tmp_path / "a.txt", A.entries.tolist())
+        out_path = tmp_path / "scan.csv"
+        args = ["scan", path, "--t-max", "2", "--step", "0.25"]
+        assert main(args) == 0 and main(args + ["--out", str(out_path)]) == 0
+        entries = [(i, j) for i in range(5) for j in range(i, 5)]
+        expected = _emit_scan_joined(parse_matrix((tmp_path / "a.txt").read_text()),
+                                     ScanConfig(t_max=2.0, step=0.25), entries)
+        assert capsys.readouterr().out == expected == out_path.read_text()
+
+    def test_memory_is_one_value_table(self):
+        # n = 30, default window: 465 entries x 1,001 points, a 19.5 MB CSV;
+        # joined, the lines and their Python floats peaked near 96 MB
+        A = dc.random_dn(30, 30, 0)
+        entries = [(i, j) for i in range(30) for j in range(i, 30)]
+        digest = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            for chunk in emit_scan(A, ScanConfig(), entries):
+                digest.update(chunk.encode())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        assert digest.hexdigest() == hashlib.sha256(
+            _emit_scan_joined(A, ScanConfig(), entries).encode()).hexdigest()
 
 
 class TestOnePsdRule:

@@ -264,6 +264,28 @@ class TestOneDecomposition:
             assert rep.argmin_t == ts[np.argmin(vals)]
             assert rep.passed == bool(vals.min() >= -rep.scan.entry_tol)
 
+    def test_monotonicity_decomposes_once(self, monkeypatch):
+        # B = A + r x1 x1^T shares A's eigenvectors; its grid minimum agrees
+        # with a decomposition of its own up to rounding
+        rng = np.random.default_rng(4)
+        cases = [(random_tridiagonal_dn(n, rng), float(rng.uniform(0.0, 5.0)))
+                 for n in range(2, 8)]
+        cases += [(dc.random_dn(n, 1 + k % n, 90 + k), float(rng.uniform(0.0, 5.0)))
+                  for k, n in enumerate(range(2, 8))]
+        calls = self._count_decompositions(monkeypatch)
+        for A, r in cases:
+            calls.clear()
+            rep = dc.check_monotonicity(A, r)
+            assert len(calls) == 1
+            x1 = dc.spectral_decompose(A).eigenvectors[:, 0]
+            B = dc.SymMatrix.from_array(A.entries + r * np.outer(x1, x1))
+            ts = rep.scan.grid()
+            diff = (grid_entry_values(dc.spectral_decompose(B), ts)
+                    - grid_entry_values(dc.spectral_decompose(A), ts)).min(axis=(0, 1))
+            assert rep.min_value == pytest.approx(diff.min(), rel=0.0,
+                                                  abs=1e-12 * (A.max_abs() + r))
+            assert rep.verified == bool(diff.min() >= -rep.scan.entry_tol)
+
     def test_report_same_with_and_without_dec(self):
         for seed in range(10):
             for A in (dc.random_dn(5, seed % 5 + 1, seed),
@@ -295,6 +317,14 @@ class TestMonotonicity:
     def test_repeated_top_eigenvalue(self):
         with pytest.raises(RepeatedTopEigenvalueError):
             dc.check_monotonicity(sym(np.eye(2)), 1.0)
+        with pytest.raises(RepeatedTopEigenvalueError):
+            dc.check_monotonicity(sym(np.diag([3.0, 3.0 - 1e-9, 1.0])), 1.0)
+
+    @pytest.mark.parametrize("A", [[[2.0]], [[0.0]], np.diag([3.0, 1.0, 1.0]),
+                                   np.diag([3.0, 0.0, 0.0])])
+    def test_simple_top_with_repeats_below(self, A):
+        # n = 1 is simple; so is a top eigenvalue above a repeated rest
+        assert dc.check_monotonicity(sym(A), 1.5).verified
 
     def test_random_batch(self):
         rng = np.random.default_rng(11)

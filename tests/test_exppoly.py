@@ -644,13 +644,16 @@ class TestCoefficientTensor:
     and give exactly what the per-entry construction gave."""
 
     def test_matches_per_entry_terms_on_policy_corpus(self):
-        singular = repeated = 0
+        # n groups take the products as they are, fewer sum them by reduceat:
+        # the corpus reaches both branches
+        singular = repeated = singleton = 0
         for A in policy_corpus():
             dec = dc.spectral_decompose(A)
             singular += dec.singular
             repeated += dec.group_starts.size < A.n
+            singleton += dec.group_starts.size == A.n
             _check_tensor_against_oracle(dec)
-        assert singular >= 40 and repeated >= 40
+        assert singular >= 40 and repeated >= 40 and singleton >= 40
 
     @given(_policy_decompositions())
     @settings(max_examples=80, deadline=None, derandomize=True)

@@ -2,15 +2,18 @@
 mpmath oracle, real powers, DN checks and irreducibility."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
-from conftest import is_irreducible_oracle
+from conftest import group_starts_oracle, is_irreducible_oracle
 from dncrit.matcore import (
+    MERGE_TOL,
+    PSD_TOL,
     ZERO_COORD_TOL,
     MatrixFormatError,
     NegativeEigenvalueError,
@@ -18,6 +21,7 @@ from dncrit.matcore import (
     ZeroToNegativePowerError,
     _finish_decomposition,
     _group_starts,
+    _power_table,
     clamp_psd,
 )
 
@@ -154,6 +158,91 @@ class TestDecomposition:
         assert _group_starts(np.array([5.0])).size == 1
         # below lambda_1 = 1 the tolerance stays MERGE_TOL, not MERGE_TOL * lambda_1
         assert _group_starts(np.array([0.3, 0.2, 0.2 - 5e-9])).size == 2
+        # two positive values below the merge tolerance share a group; zero
+        # never joins a positive one
+        assert _group_starts(np.array([3.0, 5e-9, 1e-11])).tolist() == [0, 1]
+        assert _group_starts(np.array([3.0, 5e-9, 0.0, -1e-11])).tolist() == [0, 1, 2]
+
+
+@st.composite
+def _merge_edge_spectra(draw):
+    """Non-increasing spectra, n = 1..8, stepped down at the merge rule's
+    edges: exact ties, steps of exactly, just under and just over
+    MERGE_TOL * max(1, lam_1) (so chains of them span more than one
+    tolerance), drops to zero and small negatives inside the PSD band."""
+    n = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([0.0, 1e-11, 5e-9, 2.5e-8, 1e-7, 0.3, 1.0, 3.0, 7e5])
+               | st.floats(0.0, 1e6))
+    tol = MERGE_TOL * max(1.0, top)
+    band = PSD_TOL * max(1.0, top)
+    steps = [0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, np.inf), 0.5 * tol,
+             0.999999 * tol, 1.000001 * tol]
+    lam = [top]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(["step", "step", "exact", "drop", "zero", "negative"]))
+        if kind == "step":
+            nxt = lam[-1] - draw(st.sampled_from(steps))
+        elif kind == "exact":  # lam[-1] - nxt == tol where a double allows it
+            nxt = lam[-1] - tol
+            while lam[-1] - nxt > tol:
+                nxt = np.nextafter(nxt, np.inf)
+            while lam[-1] - nxt < tol:
+                nxt = np.nextafter(nxt, -np.inf)
+        elif kind == "drop":
+            nxt = lam[-1] - draw(st.floats(0.0, max(top, tol)))
+        elif kind == "zero":
+            nxt = min(lam[-1], 0.0)
+        else:
+            nxt = lam[-1] - band * draw(st.floats(0.0, 1.0))
+        lam.append(max(nxt, -band))
+    return np.array(lam)
+
+
+class TestGroupStarts:
+    """``_group_starts`` walks Python floats and gives the groups the loop
+    over NumPy scalars gave."""
+
+    @given(_merge_edge_spectra())
+    @example(np.array([3.0, 5e-9, 1e-11]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_scalar_loop(self, lam):
+        assert (np.diff(lam) <= 0.0).all()
+        got = _group_starts(lam)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, group_starts_oracle(lam))
+
+
+class TestPowerTable:
+    """``_power_table``'s overflow rule on its error paths: the first t whose
+    column is not finite is named, with no RuntimeWarning."""
+
+    BASES = np.array([3.0, 1.0, 0.25])
+
+    @pytest.mark.parametrize("ts, bad", [
+        ([1.0, float("nan"), 2.0], "nan"),
+        ([0.5, float("inf")], "inf"),
+        ([1.0, 646.0, 700.0, 2.0, 647.0], "700.0"),
+        ([2.0, float("inf"), float("nan")], "inf"),
+        ([-700.0, 1.0], "-700.0"),
+    ])
+    def test_first_non_finite_t_named(self, ts, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^A\\^t is not finite in float64 at t={bad}$"):
+                _power_table(self.BASES, np.array(ts), False)
+
+    def test_inf_on_bases_at_most_one_is_finite(self):
+        table = _power_table(np.array([1.0, 0.5, 0.0]), np.array([0.0, np.inf]), True)
+        assert table.tolist() == [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+
+    def test_empty_table_of_zero_matrix(self):
+        dec = dc.spectral_decompose(sym(np.zeros((3, 3))))
+        assert dec.singular and dec.entry_bases.size == 0
+        ts = np.linspace(0.0, 5.0, 11)
+        assert _power_table(dec.entry_bases, ts, dec.singular).shape == (0, 11)
+        with pytest.raises(ZeroToNegativePowerError):
+            _power_table(dec.entry_bases, np.array([-1.0]), dec.singular)
+        assert dc.matrix_critical_exponent(sym(np.zeros((3, 3)))) == 0.0
 
 
 class TestPowers:
