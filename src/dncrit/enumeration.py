@@ -12,8 +12,9 @@ generic DN matrices -- which is the direction certificates need.
 A W with entries 0..7 and n <= KEY_MAX_N packs into one uint64 key whose
 order is that of its row-major flattening (``_key_shifts``), and the
 canonical form of its class is the relabeling with the smallest key.  The
-class enumeration and ``canonicalize_w`` both find it as the minimum of one
-matmul against the cached ``_orbit_weights`` table.
+class enumeration and ``canonicalize_w`` both find it as the minimum of the
+orbit keys ``_orbit_keys`` gives: the key's digits times the cached
+``_orbit_weights`` table, in one float64 product that is exact.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ from .signchange import InvalidWError, SignChangeMatrix
 
 ENUM_MAX_N = 6  # sign patterns one by one: 15.2M at n=6, 3.8e10 at n=7
 KEY_MAX_N = 7  # 3 bits per strict-upper entry of W: 63 bits at n=7, 84 at n=8
+# The deduplicated raw-key chunks wait until they outnumber both the merged
+# keys and this floor (8 MB of keys), then merge: n=7 holds about twice its
+# 3.8M distinct keys at most, not 13.6M, and n=6 (48k in all) merges once.
+_MERGE_FLOOR = 1 << 20
+# Orbit keys per block of the class sweep: 22 orbits at n=6, 3 at n=7.
+_SWEEP_BLOCK = 1 << 14
+_EXACT_BITS = 53  # float64 holds every integer below 2^53 exactly
+_HALF = 30  # where n=7 orbit keys split; a multiple of 3, so no field straddles it
 
 
 class DimensionTooLargeError(ValueError):
@@ -88,10 +97,10 @@ def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
     packed key (see ``_key_shifts``) is smallest, i.e. the smallest
     row-major flattening over all n! relabelings; idempotent.
 
-    W's strict-upper digits times the cached ``_orbit_weights`` table give
-    the keys of the whole orbit in one matmul, the same product the class
-    sweep of ``enumerate_w_classes`` takes, and the winning permutation p
-    is applied to W directly: entry (i, j) is W[p[i]][p[j]].  W must be a
+    ``_orbit_keys`` gives the keys of the whole orbit from W's strict-upper
+    digits, the one exact product the class sweep of ``enumerate_w_classes``
+    takes too, and the winning permutation p is applied to W directly:
+    entry (i, j) is W[p[i]][p[j]].  W must be a
     key: symmetric, zero diagonal, integer entries 0..7 and n <= KEY_MAX_N,
     as every W of a decomposition, of a class list or of the reference is.
     """
@@ -107,7 +116,7 @@ def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
     digits = np.array(w)[_upper(n)]
     if digits.dtype.kind not in "iu":
         raise InvalidWError("canonical forms need integer W entries")
-    p = _perms(n)[(digits.astype(np.uint64) @ _orbit_weights(n)).argmin()].tolist()
+    p = _perms(n)[_orbit_keys(digits, n).argmin()].tolist()
     rows = [w[i] for i in p]
     return SignChangeMatrix(n=n, w=tuple(tuple(r[j] for j in p) for r in rows),
                             generic=W.generic)
@@ -142,12 +151,49 @@ def _entry_positions(n: int) -> np.ndarray:
     return pos
 
 
+def _orbit_keys(digits: np.ndarray, n: int) -> np.ndarray:
+    """``digits @ _orbit_weights(n)`` bit for bit, as uint64: the orbit keys
+    of the keys whose 3-bit digits are the last axis of ``digits``, through
+    one float64 (BLAS) product with ``_orbit_table``.
+
+    Exact: the digits and weights are integers and every column sends each
+    digit to its own 3-bit field, so each partial sum is an integer below the
+    final key, exact in float64 while the key fits in 53 bits (n <= 6: 45).
+    At n = 7 (63 bits) the table holds the fields below bit 30 and, shifted
+    down by 30, the fields from bit 30 on, side by side: two exact halves of
+    at most 33 bits, joined by one shift and OR.
+    """
+    table = _orbit_table(n)
+    keys = (digits @ table).astype(np.uint64)
+    size = math.factorial(n)
+    if table.shape[1] == size:
+        return keys
+    high = keys[..., size:]
+    high <<= np.uint64(_HALF)
+    high |= keys[..., :size]
+    return high
+
+
+@functools.cache
+def _orbit_table(n: int) -> np.ndarray:
+    """``_orbit_weights(n)`` in float64, split into two halves at bit
+    ``_HALF`` once a key needs more than 53 bits (see ``_orbit_keys``)."""
+    table = _orbit_weights(n)
+    if 3 * table.shape[0] > _EXACT_BITS:
+        low = np.where(table < np.uint64(1 << _HALF), table, np.uint64(0))
+        table = np.hstack([low, (table - low) >> np.uint64(_HALF)])
+    table = table.astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
 @functools.cache
 def _orbit_weights(n: int) -> np.ndarray:
     """table[e, p]: the weight of entry e of W's key in (P W P^T)'s key, so
     that the key's 3-bit digits times the table give the whole orbit in
     permutation order.  The product is exact: each column sends every digit
-    to its own 3-bit field, and the fields never overlap."""
+    to its own 3-bit field, and the fields never overlap.  numpy runs a
+    uint64 product without BLAS, so ``_orbit_keys`` takes it in float64."""
     shifts = _key_shifts(n)
     iu, ju = _upper(n)
     pos = _entry_positions(n)
@@ -171,14 +217,19 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
       n=7: 67,945,521 row sets in 63 chunks -> 53,354,350 column-distinct
            -> 3,824,307 raw keys -> 17,475 classes.
 
-    The raw keys are then bucketed by ``_row_histogram_hash``, which is
-    equal on a whole orbit (n=6: 390 buckets, n=7: 16,213), and each bucket
-    is swept on its own: a live key's n! orbit is its 3-bit digits times the
-    cached ``_orbit_weights`` table, one matmul; sorted, its first key is the
-    class's canonical (minimum) key, and the bucket's live keys found in it
-    retire: classes x n! work, each lookup among one bucket's keys.  The
-    canonical keys are unpacked in one batch.  Capped at KEY_MAX_N, where the
-    keys run out of bits.
+    The raw keys are then bucketed by ``_row_histogram_hash`` (n=6: 390
+    buckets, n=7: 16,213) and swept in rounds.  A round takes the first live
+    key of every bucket and builds their n! orbits in blocks of buckets,
+    ``_SWEEP_BLOCK`` orbit keys each, one ``_orbit_keys`` product per block.
+    Each orbit's minimum is its class's canonical key, and every live key of
+    the block's buckets found among the block's sorted orbit keys retires.
+    The hash is equal on a whole orbit, so the orbits of different buckets
+    are disjoint: a round finds one new class in every bucket it visits, and
+    a key found in a block's orbits is in its own bucket's new class.  Two
+    classes that share a hash only cost another round (n=6: 2 rounds, n=7:
+    5).  In all classes x n! orbit keys are built, each live key looked up
+    once per round among its block's keys.  The canonical keys are unpacked
+    in one batch.  Capped at KEY_MAX_N, where the keys run out of bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -189,17 +240,24 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     inv = _row_histogram_hash(keys, n)
     order = np.argsort(inv)
     keys, inv = keys[order], inv[order]
-    ends = np.flatnonzero(inv[1:] != inv[:-1]) + 1
-    table, shifts = _orbit_weights(n), _key_shifts(n)
-    last = table.shape[1] - 1
+    shifts = _key_shifts(n)
+    per_block = max(1, _SWEEP_BLOCK // math.factorial(n))
     canonical = []
-    for live in np.split(keys, ends):
-        while len(live):
-            orbit = ((live[0] >> shifts) & np.uint64(7)) @ table
-            orbit.sort()
-            canonical.append(orbit[0])
-            live = live[orbit[np.minimum(np.searchsorted(orbit, live), last)] != live]
-    ws = _unpack_keys(np.sort(np.array(canonical, dtype=np.uint64)), n).tolist()
+    while len(keys):  # the live keys, bucket by bucket
+        starts = np.flatnonzero(np.r_[True, inv[1:] != inv[:-1]])
+        bounds = np.append(starts, len(keys)).tolist()
+        alive = np.ones(len(keys), dtype=bool)
+        for b in range(0, len(starts), per_block):
+            lo, hi = bounds[b], bounds[min(b + per_block, len(starts))]
+            digits = (keys[starts[b:b + per_block], None] >> shifts) & np.uint64(7)
+            orbits = _orbit_keys(digits, n)
+            canonical.append(orbits.min(axis=1))
+            orbits = np.sort(orbits, axis=None)
+            live = keys[lo:hi]
+            found = orbits[np.minimum(np.searchsorted(orbits, live), len(orbits) - 1)]
+            alive[lo:hi] = found != live
+        keys, inv = keys[alive], inv[alive]
+    ws = _unpack_keys(np.sort(np.concatenate(canonical)), n).tolist()
     return tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, w))) for w in ws)
 
 
@@ -239,10 +297,17 @@ def _raw_w_from_row_sets(n: int) -> np.ndarray:
     Every admissible pattern permutes (below row 1) exactly one set of
     increasing words, and relabeling rows permutes W within its class, so an
     admissible n-set of words stands for (n-1)! patterns.  The sets come in
-    chunks from ``_raw_key_chunks``, each deduplicated before the merge.
+    chunks from ``_raw_key_chunks``, each deduplicated; the pending chunks
+    merge into the merged keys once they outnumber them and ``_MERGE_FLOOR``.
     """
-    keys = np.concatenate([_dedupe(chunk) for chunk in _raw_key_chunks(n)])
-    return _dedupe(keys)
+    merged = np.zeros(0, dtype=np.uint64)
+    pending, size = [], 0
+    for chunk in map(_dedupe, _raw_key_chunks(n)):
+        pending.append(chunk)
+        size += len(chunk)
+        if size > max(len(merged), _MERGE_FLOOR):
+            merged, pending, size = _dedupe(np.concatenate([merged, *pending])), [], 0
+    return _dedupe(np.concatenate([merged, *pending]))
 
 
 def _dedupe(keys: np.ndarray) -> np.ndarray:
@@ -275,6 +340,11 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
     equal.  ``_equal_pairs`` gives, once per tail and once per word a, the
     column pairs each leaves equal, and a set is column-distinct when the
     AND of its two masks is 0.
+
+    The gathers through uint8 word indices use ``take``, about twice as fast
+    as fancy indexing on them.  ``take`` copies its index to intp first, so
+    a chunk drops its intp row index before those gathers, and its key after
+    the yield, for the memory they would hold at n=7.
     """
     m = n - 1
     if m == 0:
@@ -293,14 +363,14 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
     # the shifts go on the 2^m-entry tables, not on the gathered columns
     code = np.zeros(len(tails), dtype=np.uint64)
     for j, t in enumerate(cols):
-        code |= (par << np.uint64(j + 1))[t]
+        code |= (par << np.uint64(j + 1)).take(t)
     tail_eq = _equal_pairs(code, n)
     del code  # the generator outlives it
     tail_key = np.zeros(len(tails), dtype=np.uint64)
     for j, t in enumerate(cols):
-        tail_key |= (pop << shift[0, j + 2])[t]
+        tail_key |= (pop << shift[0, j + 2]).take(t)
         for i in range(j):
-            tail_key |= (pop << shift[i + 2, j + 2])[cols[i] ^ t]
+            tail_key |= (pop << shift[i + 2, j + 2]).take(cols[i] ^ t)
     a_eq = _equal_pairs(par, n)
     a_key = pop << shift[0, 1]
     a_pair = [pop << shift[1, j + 2] for j in range(m - 1)]
@@ -310,10 +380,13 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
 
     for a, s in zip(range(1, 2 ** m), starts.tolist()):
         keep = np.flatnonzero((tail_eq[s:] & a_eq[a]) == 0) + s
+        pair_words = [a ^ t[keep] for t in cols]
         key = tail_key[keep] | a_key[a]
-        for t, pair_key in zip(cols, a_pair):
-            key |= pair_key[a ^ t[keep]]
+        del keep
+        for j, pair_key in enumerate(a_pair):
+            key |= pair_key.take(pair_words[j])
         yield key
+        del key, pair_words  # the caller keeps a deduplicated copy
 
 
 def _tails(m: int) -> np.ndarray:
@@ -321,22 +394,24 @@ def _tails(m: int) -> np.ndarray:
     row, in lexicographic order (one empty row at m = 1), column-major so
     that each column is one contiguous array.
 
-    Grown one word at a time: a row whose last word is l gets the children
-    l+1 .. 2^m - 1, each row's children in increasing order, parents in
-    order, which keeps the rows lexicographic.
+    Grown one size at a time: the k-subsets that start with word v are v
+    followed by the (k-1)-subsets of the words above v, and in lexicographic
+    order those are the last C(2^m - 1 - v, k - 1) of all (k-1)-subsets.  So
+    each size is 2^m - 1 slice copies of the one before, in uint8 with no
+    index arrays.
     """
     top = 2 ** m
-    cols: list[np.ndarray] = []
-    last = np.zeros(1, dtype=np.intp)  # the words start at 1
-    for _ in range(m - 1):
-        counts = top - 1 - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        first = np.cumsum(counts) - counts  # each parent's first child
-        last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
-        cols = [c[parent] for c in cols] + [last.astype(np.uint8)]
-    if not cols:
-        return np.zeros((1, 0), dtype=np.uint8)
-    return np.stack(cols).T
+    prev = np.zeros((0, 1), dtype=np.uint8)  # the one 0-subset, row-major by column
+    for k in range(1, m):
+        sizes = [math.comb(top - 1 - v, k - 1) for v in range(1, top)]
+        out = np.empty((k, sum(sizes)), dtype=np.uint8)
+        at = 0
+        for v, size in enumerate(sizes, start=1):
+            out[0, at:at + size] = v
+            out[1:, at:at + size] = prev[:, prev.shape[1] - size:]
+            at += size
+        prev = out
+    return prev.T
 
 
 def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
@@ -359,4 +434,5 @@ def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
         zero &= pairs  # in place: at n=7 each array here is 56 MB
         zero >>= np.uint64(8 - d)
         eq |= zero
+        del y, zero  # before the next distance's pair
     return eq

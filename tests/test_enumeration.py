@@ -6,13 +6,16 @@ flip-word lemma the row-set reduction rests on, the
 chunked raw-key stage against a monolithic oracle (and its tails and
 column-pair masks against the loops they replaced), the packed W keys and
 key-level orbits the enumeration sweeps over, the bucketed sweep against the
-whole-key sweep it replaced, the count each stage keeps, and pins of the n=5
-and n=6 class lists and of their per-entry bounds."""
+whole-key sweep it replaced (also in rounds of one bucket and in blocks of
+one bucket), the float64 orbit product against the uint64 one, the memory
+the sweep and the tails take, the count each stage keeps, and pins of the
+n=5 and n=6 class lists and of their per-entry bounds."""
 
 import hashlib
 import inspect
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,12 +24,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
 from conftest import pattern_to_w
+from dncrit import enumeration
 from dncrit.enumeration import (
     DimensionTooLargeError,
     SignPattern,
     _equal_pairs,
     _key_shifts,
     _count_sign_patterns,
+    _orbit_keys,
     _orbit_weights,
     _raw_key_chunks,
     _raw_w_from_row_sets,
@@ -420,6 +425,28 @@ class TestRawKeyChunks:
         assert got.shape == expected.shape  # n=2: one empty tail, shape (1, 0)
         assert np.array_equal(got, expected)
 
+    def test_tails_memory_is_the_result(self):
+        # built in uint8 slices; intp parent indices peaked at 183 MB here
+        tracemalloc.start()
+        try:
+            tails = _tails(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tails.nbytes == math.comb(63, 5) * 5
+        assert peak <= 1.2 * tails.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_merges_of_the_pending_chunks(self, n):
+        # with no floor the pending chunks merge whenever they outgrow the
+        # merged set, as at n=7; the distinct keys do not change
+        dedupes = mock.patch("dncrit.enumeration._dedupe", wraps=enumeration._dedupe)
+        with mock.patch("dncrit.enumeration._MERGE_FLOOR", 0), dedupes as spy:
+            keys = _raw_w_from_row_sets(n)
+        assert keys.tolist() == np.unique(_raw_keys_monolithic(n)).tolist()
+        chunks = max(1, 2 ** (n - 1) - 1)
+        assert spy.call_count >= chunks + 2  # a merge before the final one
+
     @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
         st.lists(st.integers(0, 255), min_size=n, max_size=n), min_size=1, max_size=30))))
     @example((7, [[5] * 7, list(range(7)), [0, 255, 0, 255, 128, 127, 1]]))
@@ -550,6 +577,31 @@ class TestPackedKeys:
         assert (np.bitwise_or.reduce(table, axis=0) == sum(
             1 << int(s) for s in _key_shifts(n))).all()
 
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.lists(
+        st.integers(0, 7), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        min_size=1, max_size=12))))
+    @example((7, [[7] * 21]))  # every field full: keys of 2^63 - 1 in every column
+    @example((7, [[7] * 21, [0] * 21, list(range(7)) * 3, [7, 0] * 10 + [7]]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_orbit_keys_match_the_uint64_product(self, drawn):
+        n, rows = drawn
+        digits = np.array(rows, dtype=np.uint64).reshape(len(rows), n * (n - 1) // 2)
+        expected = digits @ _orbit_weights(n)
+        got = _orbit_keys(digits, n)
+        assert got.dtype == np.uint64
+        assert got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+        # one key's digits, as canonicalize_w passes them, in int64
+        assert _orbit_keys(digits[0].astype(np.int64), n).tolist() == expected[0].tolist()
+
+    def test_one_float64_product_would_round_at_n7(self):
+        digits = np.full((1, 21), 7, dtype=np.uint64)
+        exact = digits @ _orbit_weights(7)
+        assert (exact == np.uint64(2 ** 63 - 1)).all()
+        rounded = digits.astype(np.float64) @ _orbit_weights(7).astype(np.float64)
+        assert (rounded == 2.0 ** 63).all()
+        assert _orbit_keys(digits, 7).tolist() == exact.tolist()
+
     def test_key_packing_capped_at_n7(self):
         assert len(_key_shifts(7)) == 21
         with pytest.raises(DimensionTooLargeError):
@@ -562,6 +614,63 @@ class TestPackedKeys:
     def test_n1_key_is_zero(self):
         assert _pack_keys(np.zeros((1, 1, 1), dtype=np.int8)).tolist() == [0]
         assert _unpack_keys(0, 1).tolist() == [[0]]
+
+
+def _sweep_keys(n, **patches):
+    """The class enumeration's canonical keys, with ``patches`` applied to
+    ``dncrit.enumeration``, and how many orbit products it took."""
+    spy = mock.Mock(wraps=_orbit_keys)
+    with mock.patch.multiple("dncrit.enumeration", _orbit_keys=spy, **patches):
+        classes = dc.enumerate_w_classes(n)
+    return _pack_keys(np.array([W.w for W in classes], dtype=np.int8)), spy.call_count
+
+
+def _one_bucket(keys, n):
+    return np.zeros(len(keys), dtype=np.uint64)
+
+
+class TestSweepRounds:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_bucket_one_class_per_round(self, n):
+        # every orbit in one bucket: each round takes one key and finds one class
+        got, products = _sweep_keys(n, _row_histogram_hash=_one_bucket)
+        assert got.tolist() == _sweep_oracle(_raw_w_from_row_sets(n), n).tolist()
+        assert products == len(got)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_blocks_of_one_bucket(self, n):
+        keys = _raw_w_from_row_sets(n)
+        got, products = _sweep_keys(n, _SWEEP_BLOCK=1)
+        assert got.tolist() == _sweep_oracle(keys, n).tolist()
+        assert products == len(got)  # one product per block, one class per bucket
+        buckets = len(np.unique(_row_histogram_hash(keys, n)))
+        assert buckets == {3: 1, 4: 4, 5: 22, 6: 390}[n]
+        # by default a block holds 22 orbits of 720 keys at n=6: 18 blocks in
+        # the first round, 1 for the 9 classes that share a bucket in the second
+        _, products = _sweep_keys(n)
+        assert products == {3: 1, 4: 1, 5: 1, 6: 19}[n]
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2), min_size=1, max_size=40))))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rounds_match_the_sweep_oracle_on_arbitrary_keys(self, drawn):
+        n, uppers = drawn
+        keys = np.unique(_pack_keys(np.stack([_symmetric(n, u) for u in uppers])))
+        expected = _sweep_oracle(keys, n).tolist()
+        raw = {"_raw_w_from_row_sets": lambda n: keys.copy()}
+        for patches in ({}, {"_row_histogram_hash": _one_bucket}, {"_SWEEP_BLOCK": 1}):
+            assert _sweep_keys(n, **raw, **patches)[0].tolist() == expected
+
+    def test_memory_n6(self):
+        dc.enumerate_w_classes(6)  # the cached tables
+        tracemalloc.start()
+        try:
+            dc.enumerate_w_classes(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
 
 class TestClassSets:
