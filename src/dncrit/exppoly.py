@@ -93,7 +93,7 @@ class ScanConfig:
     def for_matrix(cls, A: SymMatrix, t_min: float = 0.0, t_max: float = 10.0,
                    step: float = DEFAULT_STEP) -> "ScanConfig":
         return cls(t_min=t_min, t_max=t_max, step=step,
-                   entry_tol=1e-9 * max(A.max_abs(), 1e-300))
+                   entry_tol=1e-9 * A.max_abs())
 
     def grid(self) -> np.ndarray:
         count = int(math.floor((self.t_max - self.t_min) / self.step + 1e-9)) + 1

@@ -21,17 +21,19 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# Tolerances: fixed rules that no caller overrides.  All relative thresholds
-# are scaled as documented at the point of use; tests pin behavior at exactly
+# Tolerances: fixed rules that no caller overrides.  Each is relative to one
+# scale, with no fixed floor, so A and s*A (s > 0) get the same decisions; the
+# scale is documented at the point of use, and tests pin behavior at exactly
 # these values.
-SYM_TOL = 1e-12          # relative asymmetry accepted on input
+SYM_TOL = 1e-12          # |a_ij - a_ji| <= SYM_TOL * max |a_ij| is accepted on input
 ORTHO_TOL = 1e-12        # |U^T U - I| bound
 RECON_TOL = 1e-10        # |U diag(lam) U^T - A| bound, relative to max |a_ij|
-PSD_TOL = 1e-10          # eigenvalue >= -PSD_TOL * max(1, lam_1) counts as nonnegative
-INVERT_TOL = 1e-10       # lam_n > INVERT_TOL * max(1, lam_1) counts as invertible
-MERGE_TOL = 1e-8         # eigenvalues closer than MERGE_TOL * max(1, lam_1) coincide
+PSD_TOL = 1e-10          # eigenvalue >= -PSD_TOL * lam_1 counts as nonnegative
+INVERT_TOL = 1e-10       # lam_n > INVERT_TOL * lam_1 counts as invertible
+MERGE_TOL = 1e-8         # a positive eigenvalue within MERGE_TOL * its group's first joins it
 ZERO_COORD_TOL = 1e-8    # an eigenvector coordinate <= this times its column's largest is zero
-EIG_SNAP_TOL = 1e-13     # |lam| <= EIG_SNAP_TOL * max |lam| is snapped to exact zero
+EIG_SNAP_TOL = 1e-13     # eigenvalue noise: |lam| <= EIG_SNAP_TOL * max |lam| is snapped to
+                         # exact zero, and values this close share a group
 _GRID_BLOCK = 2**22      # products u_ik u_jk grid_entry_values holds at once (32 MiB)
 
 
@@ -75,7 +77,8 @@ class SymMatrix:
         """Validate and symmetrize an array-like.
 
         Asymmetry up to ``SYM_TOL * max_abs_entry`` is averaged away; anything
-        larger raises NotSymmetricError.
+        larger raises NotSymmetricError.  The zero matrix, with asymmetry 0,
+        passes.
         """
         arr = np.array(a, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -84,7 +87,7 @@ class SymMatrix:
             raise MatrixFormatError("matrix entries must be finite")
         scale = np.abs(arr).max()
         asym = np.abs(arr - arr.T).max()
-        if asym > SYM_TOL * max(scale, 1e-300):
+        if asym > SYM_TOL * scale:
             raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYM_TOL:.1e} * {scale:.3e}")
         # halve first only where arr + arr.T overflows: (arr + arr.T) / 2 is exact on subnormals
         sym = (arr + arr.T) / 2.0 if scale <= np.finfo(float).max / 2 else arr / 2 + arr.T / 2
@@ -258,8 +261,9 @@ def _nonzero_coords(u: np.ndarray) -> np.ndarray:
 
 
 def check_dn(A: SymMatrix, dec: SpectralDecomposition | None = None) -> DnReport:
-    """Report nonnegativity, positive semi-definiteness, invertibility,
-    irreducibility, and the distinct-eigenvalue count.
+    """Report nonnegativity, positive semi-definiteness (``_is_psd``),
+    invertibility (lam_n > INVERT_TOL * lam_1), irreducibility, and the
+    distinct-eigenvalue count (``_group_starts``).
 
     ``dec`` is A's decomposition when the caller already holds one;
     without it A is decomposed here.
@@ -277,7 +281,7 @@ def check_dn(A: SymMatrix, dec: SpectralDecomposition | None = None) -> DnReport
         is_dn=is_nonneg and is_psd,
         min_entry=min_entry,
         min_eigenvalue=min_eig,
-        is_invertible=min_eig > INVERT_TOL * max(1.0, float(lam[0])),
+        is_invertible=min_eig > INVERT_TOL * float(lam[0]),
         is_irreducible=is_irreducible(A),
         num_distinct_eigenvalues=dec.group_starts.size,
     )
@@ -286,20 +290,30 @@ def check_dn(A: SymMatrix, dec: SpectralDecomposition | None = None) -> DnReport
 def _group_starts(lam: np.ndarray) -> np.ndarray:
     """Start indices of the groups of a non-increasing eigenvalue array.
 
-    A value joins the current group while it lies within
-    MERGE_TOL * max(1, |lam_1|) of the group's first value.  Comparing with
-    the first value rather than the neighbour keeps a chain of close values
-    from collapsing into one group wider than the tolerance.  A value <= 0
-    never joins a group that starts above 0, whose power it cannot share.
+    A positive value joins the current group while it lies within
+    MERGE_TOL times the group's own first value, so the groups of s * lam
+    are those of lam for every s > 0.  Comparing with the first value rather
+    than the neighbour keeps a chain of close values from collapsing into
+    one group wider than the tolerance.  A value <= 0 never joins a group
+    that starts above 0, whose power it cannot share; values <= 0 join each
+    other within MERGE_TOL * |lam_1|, so the zero group of a PSD spectrum,
+    clamped negatives included, is one group.  No tolerance is below
+    EIG_SNAP_TOL * max |lam|, which also scales with lam: eigh resolves
+    every value only to about eps * max |lam|, so a repeated eigenvalue far
+    below lam_1 comes back split by rounding and must still be one group.
     """
     values = lam.tolist()
-    first = values[0]  # the current group's first value
-    tol = MERGE_TOL * max(1.0, abs(first))
-    starts = [0]
-    for k, v in enumerate(values[1:], start=1):
+    noise = EIG_SNAP_TOL * max(values[0], -values[-1])  # max |lam|, values sorted
+    zero_tol = MERGE_TOL * abs(values[0])
+    first, tol = np.inf, 0.0  # no group yet: the first value starts one
+    starts = []
+    for k, v in enumerate(values):
         if first - v > tol or v <= 0.0 < first:
             starts.append(k)
             first = v
+            tol = MERGE_TOL * v if v > 0.0 else zero_tol  # read once per group
+            if tol < noise:
+                tol = noise
     return np.array(starts, dtype=np.intp)
 
 
@@ -371,17 +385,18 @@ def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _is_psd(lam: np.ndarray) -> bool:
     """The one PSD rule, on a non-increasing spectrum:
-    lam_n >= -PSD_TOL * max(1, lam_1)."""
-    return bool(lam[-1] >= -PSD_TOL * max(1.0, float(lam[0])))
+    lam_n >= -PSD_TOL * lam_1, so it holds for A exactly when for s * A."""
+    return bool(lam[-1] >= -PSD_TOL * float(lam[0]))
 
 
 def clamp_psd(eigenvalues: np.ndarray) -> np.ndarray:
     """Zero out the negative values of a non-increasing spectrum that
-    ``_is_psd`` accepts; raise NegativeEigenvalueError on one it rejects."""
+    ``_is_psd`` accepts; raise NegativeEigenvalueError, naming lam_n and
+    lam_1, on one it rejects."""
     lam = np.asarray(eigenvalues, dtype=float)
     if not _is_psd(lam):
         raise NegativeEigenvalueError(
-            f"eigenvalue {lam[-1]:.6e} below -{PSD_TOL:.1e} * {max(1.0, lam[0]):.3e}"
+            f"eigenvalue {lam[-1]:.6e} below -{PSD_TOL:.1e} * {lam[0]:.3e}"
         )
     return np.where(lam < 0.0, 0.0, lam)
 

@@ -21,7 +21,7 @@ from dncrit.exppoly import (
     eval_exppoly,
     grid_entry_values,
 )
-from dncrit.matcore import MERGE_TOL, ZERO_COORD_TOL
+from dncrit.matcore import EIG_SNAP_TOL, MERGE_TOL, ZERO_COORD_TOL
 from dncrit.signchange import ValidationResult, component_bound
 
 EVAL_ZERO_BAND = 1e-12   # relative zero band for counting grid sign alternations
@@ -45,24 +45,33 @@ def sign_changes(seq) -> int:
 
 def generic_oracle(dec: dc.SpectralDecomposition) -> bool:
     """The generic flag as computed before the groups moved into the
-    decomposition: neighbouring eigenvalues compared (a zero after a positive
-    value always counts as distinct), then the coordinates."""
+    decomposition: neighbouring eigenvalues compared, each gap against
+    MERGE_TOL times the upper value, or MERGE_TOL * |lam_1| below zero, but
+    never less than EIG_SNAP_TOL * max |lam| (a zero after a positive value
+    always counts as distinct), then the coordinates.  Every group is one
+    value exactly when every neighbour starts a new one."""
     lam = dec.eigenvalues
-    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
-    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:]) if a - b > tol or b <= 0.0 < a)
+    noise = EIG_SNAP_TOL * float(np.abs(lam).max())
+    distinct = 1 + sum(1 for a, b in zip(lam, lam[1:])
+                       if a - b > max(MERGE_TOL * (a if a > 0.0 else abs(lam[0])), noise)
+                       or b <= 0.0 < a)
     u = np.abs(dec.eigenvectors)
     return distinct == dec.n and bool((u.min(axis=0) > ZERO_COORD_TOL * u.max(axis=0)).all())
 
 
 def group_starts_oracle(lam: np.ndarray) -> np.ndarray:
-    """``matcore._group_starts`` as it was, indexing NumPy scalars in its
-    loop: a value joins the current group while it lies within
-    MERGE_TOL * max(1, |lam_1|) of the group's first value, and a value <= 0
-    never joins a group that starts above 0."""
-    tol = MERGE_TOL * max(1.0, abs(float(lam[0])))
+    """``matcore._group_starts`` indexing NumPy scalars in its loop and
+    reading each step's tolerance afresh: a positive value joins the current
+    group while it lies within MERGE_TOL times the group's first value, a
+    value <= 0 never joins a group that starts above 0, values <= 0 join
+    each other within MERGE_TOL * |lam_1|, and no tolerance is below
+    EIG_SNAP_TOL * max |lam|."""
     starts = [0]
     for k in range(1, lam.size):
-        if lam[starts[-1]] - lam[k] > tol or lam[k] <= 0.0 < lam[starts[-1]]:
+        first = lam[starts[-1]]
+        tol = max(MERGE_TOL * (first if first > 0.0 else abs(lam[0])),
+                  EIG_SNAP_TOL * np.abs(lam).max())
+        if first - lam[k] > tol or lam[k] <= 0.0 < first:
             starts.append(k)
     return np.array(starts, dtype=np.intp)
 
@@ -274,14 +283,32 @@ def zero_beside_tiny() -> dc.SymMatrix:
     return dc.SymMatrix.from_array(3.0 * np.outer(v, v) + 5e-9 * np.outer(w, w))
 
 
+def two_tiny_positive() -> dc.SymMatrix:
+    """A = 3 v v^T + 5e-9 w w^T + 1e-11 z z^T: two positive eigenvalues
+    closer to each other than MERGE_TOL * 3, but not within MERGE_TOL * 5e-9,
+    so three groups."""
+    v = np.ones(3) / np.sqrt(3.0)
+    w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    z = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    return dc.SymMatrix.from_array(3.0 * np.outer(v, v) + 5e-9 * np.outer(w, w)
+                                   + 1e-11 * np.outer(z, z))
+
+
 def policy_corpus():
     """Seeded matrices for n = 2..8: Gram matrices of full and deficient rank,
     tridiagonal DN, I + rank 2 (eigenvalue 1 repeated n-2 times), and spectra
     with a chain of eigenvalues spaced a fraction of MERGE_TOL apart; for
     n = 3..6, spectra (lam_1, 5e-9, 0, ..., 0) whose zero lies within
-    MERGE_TOL of a positive eigenvalue; and the 3x3 such matrix
-    3 v v^T + 5e-9 w w^T."""
+    MERGE_TOL of a positive eigenvalue; the 3x3 such matrix
+    3 v v^T + 5e-9 w w^T; and three 3x3 spectra whose groups a tolerance of
+    MERGE_TOL * lam_1 would merge and one of MERGE_TOL times the group's first
+    value alone would split: ``two_tiny_positive``, (3, 1e-3, 1e-3 - 2e-11)
+    (two groups below lam_1, apart by twice their own tolerance) and
+    (3, 1e-9, 1e-9) (one repeated value that eigh splits by rounding)."""
     yield zero_beside_tiny()
+    yield two_tiny_positive()
+    yield with_spectrum([3.0, 1e-3, 1e-3 - 2e-11], 5)
+    yield with_spectrum([3.0, 1e-9, 1e-9], 5)
     for n in range(2, 9):
         for seed in range(6):
             rng = np.random.default_rng([n, seed])

@@ -48,6 +48,14 @@ POWER_SITES = [("exppoly", "_bisect_edge"), ("matcore", "_power_table")]
 UPPER_SITES = [("matcore", "_upper")]
 
 
+# the functions that read SYM_TOL, PSD_TOL, INVERT_TOL or MERGE_TOL: each
+# rule is decided, or named in its error message, in one matcore function
+FLOORLESS_TOLS = ("SYM_TOL", "PSD_TOL", "INVERT_TOL", "MERGE_TOL")
+TOLERANCE_READERS = [("matcore", "_group_starts"), ("matcore", "_is_psd"),
+                     ("matcore", "check_dn"), ("matcore", "clamp_psd"),
+                     ("matcore", "from_array")]
+
+
 # every module-level *_TOL constant: a fixed rule, one name per rule
 TOLERANCE_CONSTANTS = [
     ("exppoly", "COEFF_ZERO_TOL"), ("exppoly", "DEFAULT_ENDPOINT_TOL"),
@@ -77,14 +85,15 @@ def test_tolerance_constants_are_pinned():
     assert found == TOLERANCE_CONSTANTS
 
 
-def _call_sites(func: str) -> list[tuple[str, str | None]]:
-    """(module, enclosing function) of every call of ``func`` in the package."""
+def _sites(match) -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every AST node of the package for
+    which ``match`` holds."""
     found = []
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == func:
+        if match(node):
             found.append((module, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
@@ -94,12 +103,52 @@ def _call_sites(func: str) -> list[tuple[str, str | None]]:
     return found
 
 
+def _call_sites(func: str) -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every call of ``func`` in the package."""
+    return _sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == func)
+
+
+def _factors(node) -> list:
+    """The operands of a chain of ``*``, signs dropped: ``-a * b * c`` gives
+    [a, b, c]."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _factors(node.operand)
+    return [node]
+
+
+def _floored_tolerance(node) -> bool:
+    """Whether ``node`` multiplies a *_TOL name by a floor: a ``max`` call
+    with a number among its arguments, as in ``max(1.0, lam_1)``.
+    ``COEFF_ZERO_TOL * max(map(abs, c), default=0.0)`` is a scale, not a floor."""
+    factors = _factors(node) if isinstance(node, ast.BinOp) else []
+    return (any(isinstance(f, ast.Name) and f.id.endswith("_TOL") for f in factors)
+            and any(isinstance(f, ast.Call) and ast.unparse(f.func) == "max"
+                    and any(isinstance(a, ast.Constant) for a in f.args) for f in factors))
+
+
 def test_power_sites_are_pinned():
     assert _call_sites("np.power") == POWER_SITES
 
 
 def test_upper_sites_are_pinned():
     assert _call_sites("np.triu_indices") == UPPER_SITES
+
+
+def test_tolerance_readers_are_pinned():
+    readers = _sites(lambda node: isinstance(node, ast.Name) and node.id in FLOORLESS_TOLS
+                     and isinstance(node.ctx, ast.Load))
+    assert sorted(set(readers)) == TOLERANCE_READERS
+
+
+def test_no_tolerance_is_floored():
+    # every spectrum rule is relative to one scale: a floor such as
+    # MERGE_TOL * max(1, lam_1) makes A and s * A decide differently
+    assert _sites(_floored_tolerance) == []
+    floored = ("2 * MERGE_TOL * max(1.0, y)", "max(y, 1e-300) * SYM_TOL", "-PSD_TOL * max(1, y)")
+    assert all(_floored_tolerance(ast.parse(e, mode="eval").body) for e in floored)
+    assert not _floored_tolerance(ast.parse("PSD_TOL * max(y, z)", mode="eval").body)
 
 
 def test_all_names_resolve():

@@ -16,7 +16,7 @@ from dncrit.experiments import (
     UnresolvedWitnessError,
     random_tridiagonal_dn,
 )
-from dncrit.exppoly import ScanConfig, grid_entry_values
+from dncrit.exppoly import DEFAULT_ENDPOINT_TOL, ScanConfig, grid_entry_values
 from dncrit.matcore import (
     NotDoublyNonnegativeError,
     NotIrreducibleError,
@@ -386,6 +386,43 @@ class TestEmpiricalCritexp:
         A = dc.random_dn(5, 4, 42)
         scan = ScanConfig.for_matrix(A, t_min=0.0, t_max=dc.crude_bound(5) + 2.0)
         assert dc.empirical_critical_exponent(A) == dc.matrix_critical_exponent(A, scan)
+
+
+class TestScaleInvariance:
+    """A^t scales by s^t, so A and s * A share their eigenvalue groups, W,
+    flags and critical exponent; every spectrum rule is relative to one
+    scale, with no floor."""
+
+    # every third matrix of random_dn(n, 1 + seed % n, seed), n = 5, 6, seeds 0..149
+    CORPUS = [(n, seed) for n in (5, 6) for seed in range(0, 150, 3)]
+
+    @staticmethod
+    def _summary(A):
+        dec = dc.spectral_decompose(A)
+        report = dc.check_dn(A, dec)
+        return (dec.group_starts.tolist(), dec.generic, dc.sign_change_matrix(dec).w,
+                report.is_psd, report.is_invertible, report.num_distinct_eigenvalues)
+
+    def test_random_dn_corpus(self):
+        for n, seed in self.CORPUS:
+            A = dc.random_dn(n, 1 + seed % n, seed)
+            want, exponent = self._summary(A), dc.empirical_critical_exponent(A)
+            for s in (1e-12, 1e-6, 1e6, 1e12):
+                B = sym(A.entries * s)
+                assert self._summary(B) == want, (n, seed, s)
+                # large s still moves exponents: entry_tol is fixed at the t = 1 scale
+                if s <= 1.0:
+                    assert dc.empirical_critical_exponent(B) == pytest.approx(
+                        exponent, abs=DEFAULT_ENDPOINT_TOL), (n, seed, s)
+
+    def test_tiny_scale_report(self):
+        report = dc.check_dn(sym(dc.random_dn(5, 5, 3).entries * 1e-12))
+        assert report.num_distinct_eigenvalues == 5 and report.is_invertible
+
+    def test_psd_band_scales(self):
+        for s in (1e-12, 1.0, 1e12):
+            assert dc.check_dn(sym(np.diag([1.0, -1e-11]) * s)).is_psd, s
+            assert not dc.check_dn(sym(np.diag([1.0, -1e-9]) * s)).is_psd, s
 
 
 class TestSearch:

@@ -22,6 +22,7 @@ from conftest import (
     scan_corpus,
     sign_changes,
     sign_cut_oracle,
+    two_tiny_positive,
     with_spectrum,
     zero_beside_tiny,
 )
@@ -36,6 +37,7 @@ from dncrit.exppoly import (
     grid_entry_values,
 )
 from dncrit.matcore import (
+    EIG_SNAP_TOL,
     MERGE_TOL,
     NegativeEigenvalueError,
     ZeroToNegativePowerError,
@@ -403,14 +405,16 @@ def _raise_timeout(signum, frame):
 
 def _entry_exppoly_oracle(dec, i, j):
     """The per-entry merge loop that entry_exppoly replaced: clamp, then merge
-    each eigenvalue into the last base while within MERGE_TOL of it, except
-    that a zero never joins a positive base; the cut of ``sign_cut_oracle``."""
+    each eigenvalue into the last base while within MERGE_TOL times that base
+    or within EIG_SNAP_TOL * lam_1, except that a zero never joins a positive
+    base; the cut of ``sign_cut_oracle``."""
     lam = clamp_psd(dec.eigenvalues)
     raw_coeff = dec.eigenvectors[i, :] * dec.eigenvectors[j, :]
-    scale = max(1.0, float(lam[0]))
+    noise = EIG_SNAP_TOL * float(lam[0])
     bases, coeffs = [], []
     for k in range(lam.size):
-        if bases and bases[-1] - lam[k] <= MERGE_TOL * scale and not lam[k] <= 0.0 < bases[-1]:
+        if (bases and bases[-1] - lam[k] <= max(MERGE_TOL * bases[-1], noise)
+                and not lam[k] <= 0.0 < bases[-1]):
             coeffs[-1] += float(raw_coeff[k])
         else:
             bases.append(float(lam[k]))
@@ -444,12 +448,13 @@ class TestEigenvaluePolicy:
                     assert W[i, j] == dc.descartes_bound(g)
             assert W.generic == dec.generic == generic_oracle(dec)
             count += 1
-        assert count == 7 * 6 * 5 + 4 * 6 + 1
+        assert count == 7 * 6 * 5 + 4 * 6 + 4
 
     def test_chain_counts_groups_not_links(self):
-        # gaps of 2e-8 under a tolerance of 3e-8: the chain 2, 2-2e-8, 2-4e-8
-        # spans more than the tolerance, so it is two groups, not one
-        lam = np.array([3.0, 2.0, 2.0 - 2e-8, 2.0 - 4e-8, 1.0])
+        # gaps of 1.5e-8 under the group's tolerance MERGE_TOL * 2 = 2e-8: the
+        # chain 2, 2-1.5e-8, 2-3e-8 spans more than the tolerance, so it is
+        # two groups, not one
+        lam = np.array([3.0, 2.0, 2.0 - 1.5e-8, 2.0 - 3e-8, 1.0])
         A = with_spectrum(lam, 7)
         dec = dc.spectral_decompose(A)
         assert _group_starts(lam).size == 4
@@ -512,6 +517,23 @@ class TestZeroGroup:
         assert f(0.01) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(-0.0760, abs=1e-4)
         assert dc.empirical_critical_exponent(A) == pytest.approx(0.0201, abs=1e-4)
+
+    def test_two_tiny_positive_eigenvalues_are_two_groups(self):
+        # 5e-9 and 1e-11 both lie far below MERGE_TOL * 3; merged into one
+        # base, entry (1,3) read 0.2240 at t = 0.05.  `generic` is not
+        # asserted: the exact w has a zero coordinate, and eigh returns it
+        # just above ZERO_COORD_TOL, so the flag reads eigenvector rounding
+        dec = dc.spectral_decompose(two_tiny_positive())
+        assert dec.group_starts.tolist() == [0, 1, 2]
+        want = grid_entry_values(dec, [0.05])[0, 2, 0]
+        assert dc.entry_exppoly(dec, 0, 2)(0.05) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx(0.25820973271973763, abs=1e-12)
+
+    def test_zero_and_negative_share_the_zero_group(self):
+        dec = dc.spectral_decompose(with_spectrum([3.0, 5e-9, 0.0, -1e-11 * 3.0], 0))
+        assert dec.eigenvalues[-1] < 0.0
+        assert dec.group_starts.tolist() == [0, 1, 2] and dec.singular
+        assert dec.entry_bases.tolist() == dec.eigenvalues[:2].tolist()
 
     @given(_zero_and_tiny_spectra())
     @settings(max_examples=150, deadline=None, derandomize=True)

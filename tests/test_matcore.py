@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
-from conftest import group_starts_oracle, is_irreducible_oracle
+from conftest import group_starts_oracle, is_irreducible_oracle, with_spectrum
 from dncrit.matcore import (
+    EIG_SNAP_TOL,
     MERGE_TOL,
     PSD_TOL,
     ZERO_COORD_TOL,
@@ -156,30 +157,49 @@ class TestDecomposition:
         assert _group_starts(np.array([4.0, 2.0 + 1e-12, 2.0, 0.5])).size == 3
         assert _group_starts(np.array([1.0, 1.0, 1.0])).size == 1
         assert _group_starts(np.array([5.0])).size == 1
-        # below lambda_1 = 1 the tolerance stays MERGE_TOL, not MERGE_TOL * lambda_1
-        assert _group_starts(np.array([0.3, 0.2, 0.2 - 5e-9])).size == 2
-        # two positive values below the merge tolerance share a group; zero
-        # never joins a positive one
-        assert _group_starts(np.array([3.0, 5e-9, 1e-11])).tolist() == [0, 1]
-        assert _group_starts(np.array([3.0, 5e-9, 0.0, -1e-11])).tolist() == [0, 1, 2]
+        # a group's tolerance is MERGE_TOL times its own first value: 2e-9 at 0.2
+        assert _group_starts(np.array([0.3, 0.2, 0.2 - 5e-9])).size == 3
+        assert _group_starts(np.array([0.3, 0.2, 0.2 - 1e-9])).size == 2
+        # two positive values far below MERGE_TOL * lambda_1 are two groups;
+        # zero never joins a positive one, and values <= 0 share one group
+        assert _group_starts(np.array([3.0, 5e-9, 1e-11])).tolist() == [0, 1, 2]
+        assert _group_starts(np.array([3.0, 5e-9, 0.0, -1e-11 * 3.0])).tolist() == [0, 1, 2]
+        # values within EIG_SNAP_TOL * max |lam| share a group: eigh's rounding
+        assert _group_starts(np.array([3.0, 1e-9, 1e-9 - 2e-13])).tolist() == [0, 1]
+        assert _group_starts(np.array([3.0, 1e-9, 1e-9 - 4e-13])).tolist() == [0, 1, 2]
+        # max |lam| is |lam_n| when the spectrum's largest magnitude is negative
+        assert _group_starts(np.array([1e-9, 1e-9 - 2e-13, -3.0])).tolist() == [0, 2]
+
+    def test_repeated_tiny_eigenvalue_is_one_group(self):
+        # eigh returns the double eigenvalue 1e-9 split by about eps * 3,
+        # far more than MERGE_TOL * 1e-9 = 1e-17
+        for seed in range(20):
+            A = with_spectrum([3.0, 1e-9, 1e-9], seed)
+            dec = dc.spectral_decompose(A)
+            assert dec.group_starts.tolist() == [0, 1] and not dec.generic
+            assert dc.check_dn(A, dec).num_distinct_eigenvalues == 2
 
 
 @st.composite
 def _merge_edge_spectra(draw):
     """Non-increasing spectra, n = 1..8, stepped down at the merge rule's
     edges: exact ties, steps of exactly, just under and just over
-    MERGE_TOL * max(1, lam_1) (so chains of them span more than one
-    tolerance), drops to zero and small negatives inside the PSD band."""
+    MERGE_TOL times the value stepped from, or EIG_SNAP_TOL * top where that
+    is wider (the edge when that value starts its group; chains of such steps span
+    more than one tolerance), drops far below top, where the noise edge is
+    the wider, drops to zero and small negatives inside the PSD band."""
     n = draw(st.integers(1, 8))
-    top = draw(st.sampled_from([0.0, 1e-11, 5e-9, 2.5e-8, 1e-7, 0.3, 1.0, 3.0, 7e5])
+    top = draw(st.sampled_from([0.0, 1e-250, 1e-11, 5e-9, 2.5e-8, 1e-7, 0.3, 1.0, 3.0, 7e5,
+                                1e250])
                | st.floats(0.0, 1e6))
-    tol = MERGE_TOL * max(1.0, top)
-    band = PSD_TOL * max(1.0, top)
-    steps = [0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, np.inf), 0.5 * tol,
-             0.999999 * tol, 1.000001 * tol]
+    band = PSD_TOL * top
     lam = [top]
     for _ in range(n - 1):
-        kind = draw(st.sampled_from(["step", "step", "exact", "drop", "zero", "negative"]))
+        tol = max(MERGE_TOL * (lam[-1] if lam[-1] > 0.0 else top), EIG_SNAP_TOL * top)
+        steps = [0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, np.inf), 0.5 * tol,
+                 0.999999 * tol, 1.000001 * tol]
+        kind = draw(st.sampled_from(["step", "step", "exact", "drop", "tiny", "zero",
+                                     "negative"]))
         if kind == "step":
             nxt = lam[-1] - draw(st.sampled_from(steps))
         elif kind == "exact":  # lam[-1] - nxt == tol where a double allows it
@@ -189,7 +209,9 @@ def _merge_edge_spectra(draw):
             while lam[-1] - nxt < tol:
                 nxt = np.nextafter(nxt, -np.inf)
         elif kind == "drop":
-            nxt = lam[-1] - draw(st.floats(0.0, max(top, tol)))
+            nxt = lam[-1] - draw(st.floats(0.0, top))
+        elif kind == "tiny":  # MERGE_TOL * nxt below EIG_SNAP_TOL * top
+            nxt = min(lam[-1], top * draw(st.sampled_from([1e-6, 1e-9, 1e-12])))
         elif kind == "zero":
             nxt = min(lam[-1], 0.0)
         else:
@@ -199,11 +221,15 @@ def _merge_edge_spectra(draw):
 
 
 class TestGroupStarts:
-    """``_group_starts`` walks Python floats and gives the groups the loop
-    over NumPy scalars gave."""
+    """``_group_starts`` walks Python floats, reads each group's tolerance
+    once, and gives the groups of the loop over NumPy scalars that reads it
+    at every step."""
 
     @given(_merge_edge_spectra())
     @example(np.array([3.0, 5e-9, 1e-11]))
+    @example(np.array([3.0, 3.0 - 3e-8, 1e-11, 1e-11 - 1e-19, 0.0, -3e-10]))
+    @example(np.array([3.0, 1e-9, 1e-9 - 3e-13, 1e-9 - 6e-13, 0.0]))
+    @example(np.array([1e-9, 1e-9 - 2e-13, -3.0]))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_matches_scalar_loop(self, lam):
         assert (np.diff(lam) <= 0.0).all()
@@ -340,6 +366,11 @@ class TestDnCheck:
     def test_singular_dn(self):
         report = dc.check_dn(sym(np.ones((3, 3))))
         assert report.is_dn and not report.is_invertible
+
+    def test_negative_eigenvalues_stay_distinct(self):
+        report = dc.check_dn(sym(np.diag([1.0, -1.0, -2.0])))
+        assert not report.is_psd and not report.is_invertible
+        assert report.num_distinct_eigenvalues == 3
 
 
 class TestGraph:
