@@ -103,13 +103,19 @@ def canonicalize_w(W: SignChangeMatrix) -> SignChangeMatrix:
     entry (i, j) is W[p[i]][p[j]].  W must be a
     key: symmetric, zero diagonal, integer entries 0..7 and n <= KEY_MAX_N,
     as every W of a decomposition, of a class list or of the reference is.
+    A W that passes structural validation (its verdict is kept on W, so it
+    is checked once) is a key once its entries are integers: they lie in
+    0..n-1.  Only a W that fails it gets the key checks here, so a
+    symmetric W with a zero diagonal and entries 0..7 still has a
+    canonical form when, say, a row holds two entries equal to n-1.
     """
     n = W.n
     if n > KEY_MAX_N:
         raise DimensionTooLargeError(
             f"canonical forms use 64-bit W keys, capped at n={KEY_MAX_N}")
     w = W.w
-    if not (len(w) == n and w == tuple(zip(*w)) and not any(w[i][i] for i in range(n))
+    if not W._validation.ok and not (
+            len(w) == n and w == tuple(zip(*w)) and not any(w[i][i] for i in range(n))
             and min(map(min, w), default=0) >= 0 and max(map(max, w), default=0) <= 7):
         raise InvalidWError("canonical forms need a symmetric W with a zero diagonal "
                             "and entries 0..7")

@@ -16,6 +16,7 @@ steps excepted), so the table's t < 0 and overflow rules hold here too.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,8 @@ class ExpPoly:
     def __post_init__(self):
         if len(self.bases) != len(self.coefficients):
             raise ValueError("bases and coefficients must align")
-        for a, b in zip(self.bases, self.bases[1:]):
-            if not a > b:
-                raise ValueError("bases must be strictly decreasing")
+        if not all(map(operator.gt, self.bases, self.bases[1:])):
+            raise ValueError("bases must be strictly decreasing")
         if self.bases and self.bases[-1] <= 0.0:
             raise ValueError("bases must be positive (zero bases are dropped)")
 
@@ -125,7 +125,7 @@ def entry_exppoly(dec: SpectralDecomposition, i: int, j: int) -> ExpPoly:
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
     coefficients = tuple(dec.entry_coefficients[i, j].tolist())
     cut = 0.0 if dec.generic else COEFF_ZERO_TOL * max(map(abs, coefficients), default=0.0)
-    return ExpPoly(bases=tuple(dec.entry_bases.tolist()), coefficients=coefficients,
+    return ExpPoly(bases=dec._entry_base_tuple, coefficients=coefficients,
                    singular=dec.singular, sign_cut=cut)
 
 

@@ -11,7 +11,11 @@ holds the t < 0 and overflow rules; ``fractional_power`` (one t) and
 Everything here is immutable and side-effect free; values can be shared
 freely across threads.  A decomposition's eigenvalue groups, generic flag,
 clamped eigenvalues and entry coefficients are filled in on first use, from its
-immutable arrays, so two threads racing on them compute the same value.
+immutable arrays, so two threads racing on them compute the same value.  The
+one exception is the zero-coordinate verdict ``generic`` reads:
+``spectral_decompose`` stores it when it builds the decomposition, from the
+mask its sign fix-up computes anyway, so each decomposition tests its
+coordinates once.
 """
 
 from __future__ import annotations
@@ -98,6 +102,12 @@ class SymMatrix:
         return float(np.abs(self.entries).max())
 
     def __array__(self, dtype=None, copy=None):
+        """A copy of ``entries``; with ``copy=False``, ``entries`` itself
+        (read-only), and ValueError when ``dtype`` needs a cast."""
+        if copy is False:
+            if dtype is not None and np.dtype(dtype) != self.entries.dtype:
+                raise ValueError(f"casting the entries to {np.dtype(dtype)} needs a copy")
+            return self.entries
         return np.array(self.entries, dtype=dtype)
 
 
@@ -127,7 +137,9 @@ class SpectralDecomposition:
     whether every coefficient has a sign (see ``signchange``).  The entry
     polynomials f_ij(t) = sum_k c_ijk b_k^t follow from it: ``entry_bases``
     are the b_k of the other groups, ``entry_coefficients`` the c_ijk of
-    every entry.
+    every entry.  Each part is filled in on first use, except whether every
+    coordinate is nonzero, which ``spectral_decompose`` stores from its sign
+    fix-up (a decomposition built directly computes it on first use).
     """
 
     eigenvalues: np.ndarray
@@ -148,7 +160,13 @@ class SpectralDecomposition:
     @cached_property
     def generic(self) -> bool:
         """n eigenvalue groups, no zero coordinate (``_nonzero_coords``): no zero coefficient."""
-        return self.group_starts.size == self.n and bool(_nonzero_coords(self.eigenvectors).all())
+        return self.group_starts.size == self.n and self._coords_nonzero
+
+    @cached_property
+    def _coords_nonzero(self) -> bool:
+        """Whether ``_nonzero_coords`` holds for every coordinate;
+        ``spectral_decompose`` fills it in from its sign fix-up's mask."""
+        return bool(_nonzero_coords(self.eigenvectors).all())
 
     @cached_property
     def clamped_eigenvalues(self) -> np.ndarray:
@@ -166,6 +184,11 @@ class SpectralDecomposition:
         bases = self.clamped_eigenvalues[starts[:starts.size - self.singular]]
         bases.setflags(write=False)
         return bases
+
+    @cached_property
+    def _entry_base_tuple(self) -> tuple[float, ...]:
+        """``entry_bases`` as Python floats: the bases of every ``entry_exppoly``."""
+        return tuple(self.entry_bases.tolist())
 
     @property
     def singular(self) -> bool:
@@ -243,15 +266,18 @@ def _finish_decomposition(diag: np.ndarray, vecs: np.ndarray) -> SpectralDecompo
     # leaves residues around 1e-16 * scale; raised to a small power t those
     # residues would contribute O(1) phantom terms (e.g. (1e-16)^0.01 ~ 0.7),
     # so downstream consumers need true zeros here.
-    scale = float(np.abs(lam).max()) if lam.size else 0.0
+    scale = float(max(lam[0], -lam[-1])) if lam.size else 0.0  # max |lam|, lam sorted
     lam[np.abs(lam) <= EIG_SNAP_TOL * scale] = 0.0
-    u = vecs[:, order]
+    u = vecs[:, order]  # a copy: the sign fix-up negates its columns in place
+    nonzero = _nonzero_coords(u)  # |u| is unchanged by the fix-up
     # a column with no nonzero coordinate is all zeros, and -0.0 < 0 is false
-    lead = u[np.argmax(_nonzero_coords(u), axis=0), np.arange(u.shape[1])]
-    u = np.where(lead < 0.0, -u, u)
+    lead = u[np.argmax(nonzero, axis=0), np.arange(u.shape[1])]
+    np.negative(u, out=u, where=lead < 0.0)
     lam.setflags(write=False)
     u.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
+    dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
+    vars(dec)["_coords_nonzero"] = bool(nonzero.all())  # fills the cached_property
+    return dec
 
 
 def _nonzero_coords(u: np.ndarray) -> np.ndarray:

@@ -26,11 +26,17 @@ entries are otherwise at most n-2.  An off-diagonal entry vanishes at t = 0
 and is nonnegative at every integer t, so each negative interval past t = 1
 costs two more roots: w allows at most floor((w-1)/2) of them (none for
 w = 0), and one more root buys a dip in (0, 1), so w = 2 allows one there.
+
+A W is validated once: its ``ValidationResult`` is kept on it, so
+``validate_sign_change_matrix``, ``entry_bounds_from_w`` and
+``canonicalize_w`` all read one check.  W is immutable and the result
+takes no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exppoly import descartes_bound, entry_exppoly
 from .matcore import MatrixFormatError, SymMatrix, spectral_decompose, _read_square_rows
@@ -59,11 +65,20 @@ class SignChangeMatrix:
         i, j = ij
         return self.w[i][j]
 
+    @cached_property
+    def _validation(self) -> "ValidationResult":
+        """``_validate`` of W, run once per W: ``validate_sign_change_matrix``
+        returns it, and ``canonicalize_w`` reads its verdict."""
+        return _validate(self.w, self.n)
+
 
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool
     violations: tuple[str, ...]
+
+
+_VALID = ValidationResult(ok=True, violations=())  # shared by every valid W
 
 
 def sign_change_matrix(dec) -> SignChangeMatrix:
@@ -92,12 +107,25 @@ def component_bound(w: int) -> int:
 def validate_sign_change_matrix(W: SignChangeMatrix) -> ValidationResult:
     """Check the structural limits a generic DN matrix imposes on W.
 
-    A W that is not n x n reports its shape alone; any other gets one pass
-    over its row and column tuples.  Positions are 1-based, as printed.
+    The check (``_validate``) runs once per W, whose result is kept on W.
     """
-    w, cap = W.w, W.n - 1
-    if len(w) != W.n or any(len(r) != W.n for r in w):
-        return ValidationResult(ok=False, violations=(f"W is not {W.n} x {W.n}",))
+    return W._validation
+
+
+def _validate(w: tuple[tuple[int, ...], ...], n: int) -> ValidationResult:
+    """A valid W passes one short pass over its rows and gets the one shared
+    ``ok`` result.  Any other W gets its violations listed: a W that is not
+    n x n reports its shape alone, any other gets one pass over its row and
+    column tuples.  Positions are 1-based, as printed."""
+    cap = n - 1
+    if len(w) == n and w == tuple(zip(*w)):  # square and symmetric
+        for i, r in enumerate(w):  # by symmetry the rows cover the columns
+            if r[i] or min(r) < 0 or max(r) > cap or r.count(cap) > 1:
+                break
+        else:
+            return _VALID
+    if len(w) != n or any(len(r) != n for r in w):
+        return ValidationResult(ok=False, violations=(f"W is not {n} x {n}",))
     cols = tuple(zip(*w))
     violations = [] if w == cols else ["not symmetric"]
     violations += [f"diagonal entry ({i + 1},{i + 1}) = {r[i]} nonzero"

@@ -1,5 +1,6 @@
 """Sign-pattern enumeration, the pattern-to-W oracle, canonicalization
-(against a brute-force oracle, and its rejection of what a key cannot hold),
+(against a brute-force oracle, and its rejection of what a key cannot hold,
+before and after W's validation verdict is cached),
 and the per-dimension class sets (including cross-validation of the row-set
 reduction against the brute-force canonical form of every pattern's W), the
 flip-word lemma the row-set reduction rests on, the
@@ -351,6 +352,33 @@ class TestCanonicalization:
         else:
             w[0][2] = w[2][0] = int(kind.split()[1])
         W = dc.SignChangeMatrix(n=3, w=tuple(map(tuple, w)))
+        with pytest.raises(dc.certify.InvalidWError):
+            dc.canonicalize_w(W)
+
+    @pytest.mark.parametrize("w, valid, want", [
+        (((0, 2, 2), (2, 0, 1), (2, 1, 0)), False, ((0, 1, 2), (1, 0, 2), (2, 2, 0))),
+        (((0,),), True, ((0,),)),
+    ], ids=["two entries n-1 in a row", "n=1"])
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_keys_canonicalize_whatever_their_validation(self, w, valid, want, validated):
+        W = dc.SignChangeMatrix(n=len(w), w=w)
+        if validated:
+            assert dc.validate_sign_change_matrix(W).ok == valid
+        assert _canonical_oracle(np.array(w)) == want
+        assert dc.canonicalize_w(W).w == want
+
+    @pytest.mark.parametrize("w, valid", [
+        (((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0)), True),
+        (((1, 1, 2), (1, 0, 1), (2, 1, 0)), False),
+        (((0, 8, 2), (8, 0, 1), (2, 1, 0)), False),
+        (((1,),), False),
+        (((0.0,),), True),
+    ], ids=["float entries", "diagonal", "entry 8", "n=1 diagonal", "n=1 float"])
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_validation_verdict_keeps_the_key_checks(self, w, valid, validated):
+        W = dc.SignChangeMatrix(n=len(w), w=w)
+        if validated:
+            assert dc.validate_sign_change_matrix(W).ok == valid
         with pytest.raises(dc.certify.InvalidWError):
             dc.canonicalize_w(W)
 

@@ -1,5 +1,5 @@
-"""Foundation tests: parsing, the LAPACK decomposition vs a high-precision
-mpmath oracle, real powers, DN checks and irreducibility."""
+"""Foundation tests: parsing, the array protocol, the LAPACK decomposition vs
+a high-precision mpmath oracle, real powers, DN checks and irreducibility."""
 
 import math
 import warnings
@@ -84,6 +84,26 @@ class TestParsing:
         A = random_symmetric(n, seed)
         B = dc.parse_matrix(dc.format_matrix(A))
         assert (B.entries == A.entries).all()
+
+
+class TestArrayProtocol:
+    def test_copy_false_returns_the_entries(self):
+        A = sym([[2.0, 1.0], [1.0, 3.0]])
+        got = np.asarray(A, copy=False)
+        assert got is A.entries and not got.flags.writeable
+        assert np.shares_memory(np.asarray(A, dtype=float, copy=False), A.entries)
+
+    def test_copy_false_with_a_cast_raises(self):
+        with pytest.raises(ValueError, match="needs a copy"):
+            np.asarray(sym([[2.0, 1.0], [1.0, 3.0]]), dtype=np.float32, copy=False)
+
+    def test_otherwise_a_writable_copy(self):
+        A = sym([[2.0, 1.0], [1.0, 3.0]])
+        for got in (np.asarray(A), np.array(A), np.array(A, copy=True),
+                    np.asarray(A, dtype=np.float32)):
+            assert not np.shares_memory(got, A.entries) and got.flags.writeable
+            assert (got == A.entries).all()
+        assert np.asarray(A, dtype=np.float32).dtype == np.float32
 
 
 class TestDecomposition:

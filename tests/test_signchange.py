@@ -1,6 +1,9 @@
-"""Sign change matrix construction, structural validation, component bound."""
+"""Sign change matrix construction, structural validation, component bound,
+and the classify pipeline: a pin of its values and the facts it computes once
+per decomposition and per W."""
 
 import functools
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -15,9 +18,9 @@ from conftest import (
     spectral_data_draws,
     validate_sign_change_matrix_oracle,
 )
-from dncrit import signchange
+from dncrit import matcore, signchange
 from dncrit.exppoly import COEFF_ZERO_TOL, ExpPoly, descartes_bound, entry_exppoly
-from dncrit.matcore import ZERO_COORD_TOL
+from dncrit.matcore import ZERO_COORD_TOL, _nonzero_coords
 from dncrit.signchange import (
     InvalidWError,
     SignChangeMatrix,
@@ -410,6 +413,84 @@ class TestValidation:
             SignChangeMatrix(n=2, w=((0, 1), (0, 0))))
         assert not result.ok
         assert any("symmetric" in v for v in result.violations)
+
+
+def classify_draws(count):
+    """The classify benchmark's recipe: n = 3 + k % 4, rank n - 1 on every
+    fifth draw and full otherwise, ``random_dn`` seeds from default_rng([0, 2])."""
+    rng = np.random.default_rng([0, 2])
+    for k in range(count):
+        n = 3 + k % 4
+        yield dc.random_dn(n, n - 1 if k % 5 == 4 else n, int(rng.integers(2**31)))
+
+
+def classify_facts(A):
+    """One classify op: decompose, W, validate, canonical form, entry
+    bounds and the grid tail past the crude bound; what it computes."""
+    dec = dc.spectral_decompose(A)
+    W = dc.sign_change_matrix(dec)
+    checked = dc.validate_sign_change_matrix(W)
+    canon = dc.canonicalize_w(W)
+    bounds = dc.entry_bounds_from_w(W)
+    tail = dc.exppoly.grid_entry_values(dec, dc.crude_bound(A.n) + 0.01 * np.arange(201))
+    return dec, W, checked, canon, bounds, tail
+
+
+class TestOncePerObject:
+    """The classify pipeline computes each fact once: one zero-coordinate test
+    per decomposition and one structural validation per W, with every value
+    as before."""
+
+    def test_classify_pipeline_pinned(self):
+        # sha256 over 1,200 classify draws, computed before the decomposition
+        # kept its zero-coordinate verdict and W its validation
+        digest = hashlib.sha256()
+        for A in classify_draws(1200):
+            dec, W, checked, canon, bounds, tail = classify_facts(A)
+            digest.update(dec.eigenvalues.tobytes())
+            digest.update(dec.eigenvectors.tobytes())
+            digest.update(repr((dec.generic, W.w, checked, canon.w, bounds.bound)).encode())
+            digest.update(tail.tobytes())
+        assert digest.hexdigest() == (
+            "725e3ee00ffc1ddf0a4911ba0669cc415daac6ffb9ba391bafe41f157234e5f5")
+
+    def test_one_coordinate_test_and_one_validation_per_op(self):
+        draws = list(classify_draws(10))
+        with mock.patch.object(matcore, "_nonzero_coords", wraps=_nonzero_coords) as coords, \
+                mock.patch.object(signchange, "_validate", wraps=signchange._validate) as check:
+            for k, A in enumerate(draws, start=1):
+                classify_facts(A)
+                assert (coords.call_count, check.call_count) == (k, k)
+
+    def test_stored_generic_is_the_rule(self):
+        decs = [dc.spectral_decompose(A) for A in policy_corpus()]
+        decs += [dc.spectral_decompose(A) for A in weakly_coupled_draws()]
+        for dec in decs:
+            assert dec.generic == (dec.group_starts.size == dec.n
+                                   and bool(_nonzero_coords(dec.eigenvectors).all()))
+            # the same decomposition built directly tests its coordinates on first use
+            again = dc.SpectralDecomposition(dec.eigenvalues, dec.eigenvectors)
+            assert again.generic == dec.generic
+        assert 0 < sum(dec.generic for dec in decs) < len(decs)
+
+    def test_validated_w_equals_and_hashes_as_before(self):
+        w = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+        checked, fresh = SignChangeMatrix(n=3, w=w), SignChangeMatrix(n=3, w=w, generic=False)
+        result = dc.validate_sign_change_matrix(checked)
+        assert result.ok and dc.validate_sign_change_matrix(checked) is result
+        assert checked == fresh and hash(checked) == hash(fresh)
+        assert checked in frozenset([fresh]) and fresh in frozenset([checked])
+        classes = frozenset(dc.enumerate_w_classes(4))
+        for W in classes:
+            dc.validate_sign_change_matrix(W)
+        assert all(SignChangeMatrix(n=4, w=W.w) in classes for W in classes)
+
+    def test_valid_w_share_one_result_and_invalid_w_keep_their_own(self):
+        results = [dc.validate_sign_change_matrix(W) for W in dc.enumerate_w_classes(5)]
+        assert all(r is results[0] for r in results) and results[0].ok
+        bad = SignChangeMatrix(n=2, w=((1, 1), (1, 0)))
+        assert dc.validate_sign_change_matrix(bad) is dc.validate_sign_change_matrix(bad)
+        assert not dc.validate_sign_change_matrix(bad).ok
 
 
 class TestComponentBound:
