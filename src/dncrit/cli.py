@@ -151,11 +151,13 @@ def cmd_certify(args) -> int:
         for row in bounds.bound:
             print(" ".join(_bound_text(v) for v in row))
         unbounded = bounds.num_unbounded()
-        print(f"max_bound={_bound_text(bounds.max_bound())}")
+        top = bounds.max_bound()
+        print(f"max_bound={_bound_text(top)}")
         _write_out(args, json.dumps({
             "n": W.n,
             "w": [list(r) for r in W.w],
             "entry_bounds": [[_json_bound(v) for v in row] for row in bounds.bound],
+            "max_bound": _json_bound(top),
         }, indent=2))
         return 0 if not unbounded else 1
     report = certify_dimension(args.n)

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .matcore import _upper
-from .signchange import InvalidWError, SignChangeMatrix
+from .signchange import InvalidWError, SignChangeMatrix, _checked_stack
 
 ENUM_MAX_N = 6  # sign patterns one by one: 15.2M at n=6, 3.8e10 at n=7
 KEY_MAX_N = 7  # 3 bits per strict-upper entry of W: 63 bits at n=7, 84 at n=8
@@ -233,9 +233,10 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
     are disjoint: a round finds one new class in every bucket it visits, and
     a key found in a block's orbits is in its own bucket's new class.  Two
     classes that share a hash only cost another round (n=6: 2 rounds, n=7:
-    5).  In all classes x n! orbit keys are built, each live key looked up
-    once per round among its block's keys.  The canonical keys are unpacked
-    in one batch.  Capped at KEY_MAX_N, where the keys run out of bits.
+    5).  In all classes x n! orbit keys are built, and each live key is
+    looked up once per round among its block's keys, the block's live keys
+    in ascending order.  The canonical keys are unpacked and validated in
+    one batch.  Capped at KEY_MAX_N, where the keys run out of bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -260,11 +261,12 @@ def enumerate_w_classes(n: int) -> tuple[SignChangeMatrix, ...]:
             canonical.append(orbits.min(axis=1))
             orbits = np.sort(orbits, axis=None)
             live = keys[lo:hi]
-            found = orbits[np.minimum(np.searchsorted(orbits, live), len(orbits) - 1)]
-            alive[lo:hi] = found != live
+            rank = live.argsort()  # sorted needles search faster
+            live = live[rank]
+            found = orbits[np.minimum(orbits.searchsorted(live), len(orbits) - 1)]
+            alive[lo + rank] = found != live
         keys, inv = keys[alive], inv[alive]
-    ws = _unpack_keys(np.sort(np.concatenate(canonical)), n).tolist()
-    return tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, w))) for w in ws)
+    return _checked_stack(_unpack_keys(np.sort(np.concatenate(canonical)), n))
 
 
 def _row_histogram_hash(keys: np.ndarray, n: int) -> np.ndarray:
@@ -333,19 +335,16 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
     tails come once from ``_tails``, in lexicographic order, so chunk a takes
     a suffix of them (empty once fewer than n-2 words exceed a); n=6 has
     31,465 tails in place of 169,911 sets.  The parts of the key and of the
-    column codes that do not involve word a are computed on the tails once,
-    too.
+    column-pair mask that do not involve word a are computed on the tails
+    once, too.
 
     Column distinctness: byte k of par[f] is the parity of f's low k bits,
-    i.e. f's sign in column k, so ORing par[f_r] << (r-1) over the rows
-    r = 1 .. n-1 (numbered from 0, as in W) gives, byte by byte, each
-    column's code (bit r-1: row r is - there; row 0, the word 0, is +
-    everywhere and is left out).  Word a is row 1 and sets only bit 0 of
-    each byte, the tail only the bits above it, so two columns of a
-    set share a code exactly when word a and the tail both leave them
-    equal.  ``_equal_pairs`` gives, once per tail and once per word a, the
-    column pairs each leaves equal, and a set is column-distinct when the
-    AND of its two masks is 0.
+    i.e. f's sign in column k, and ``_equal_pairs(par, n)`` gives, once per
+    word, the column pairs that word leaves equal (row 0, the word 0, leaves
+    every pair equal).  Two columns of a set agree in sign on every row
+    exactly when every row leaves them equal, so a tail's mask is the AND of
+    its words' table entries, and a set is column-distinct when the AND of
+    its tail's mask and word a's is 0.
 
     The gathers through uint8 word indices use ``take``, about twice as fast
     as fancy indexing on them.  ``take`` copies its index to intp first, so
@@ -366,18 +365,16 @@ def _raw_key_chunks(n: int) -> Iterator[np.ndarray]:
 
     tails = _tails(m)
     cols = [tails[:, j] for j in range(m - 1)]  # tail word j is row j+2; contiguous
+    a_eq = _equal_pairs(par, n)
+    tail_eq = np.full(len(tails), a_eq[0])  # the word 0 leaves every pair equal
+    for t in cols:
+        tail_eq &= a_eq.take(t)
     # the shifts go on the 2^m-entry tables, not on the gathered columns
-    code = np.zeros(len(tails), dtype=np.uint64)
-    for j, t in enumerate(cols):
-        code |= (par << np.uint64(j + 1)).take(t)
-    tail_eq = _equal_pairs(code, n)
-    del code  # the generator outlives it
     tail_key = np.zeros(len(tails), dtype=np.uint64)
     for j, t in enumerate(cols):
         tail_key |= (pop << shift[0, j + 2]).take(t)
         for i in range(j):
             tail_key |= (pop << shift[i + 2, j + 2]).take(cols[i] ^ t)
-    a_eq = _equal_pairs(par, n)
     a_key = pop << shift[0, 1]
     a_pair = [pop << shift[1, j + 2] for j in range(m - 1)]
     # each tail's smallest word (2^m, past every a, for n=2's empty tail) rises
@@ -429,7 +426,8 @@ def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
     and the exact zero-byte test ~(((y & 0x7f..) + 0x7f..) | y | 0x7f..)
     marks each zero byte of y with its top bit, with no carry between
     bytes.  Shifting the marks for distance d down by 8 - d gives every
-    pair its own bit.
+    pair its own bit.  ``_raw_key_chunks`` calls it once, on the 2^(n-1)
+    per-word parity codes, and ANDs the entries of a set's words.
     """
     low7 = np.uint64(0x7F7F7F7F7F7F7F7F)
     eq = np.zeros(codes.shape, dtype=np.uint64)
@@ -437,8 +435,7 @@ def _equal_pairs(codes: np.ndarray, n: int) -> np.ndarray:
         pairs = np.uint64(sum(0x80 << 8 * k for k in range(n - d)))  # k + d < n
         y = codes ^ (codes >> np.uint64(8 * d))
         zero = ~(((y & low7) + low7) | y | low7)
-        zero &= pairs  # in place: at n=7 each array here is 56 MB
+        zero &= pairs
         zero >>= np.uint64(8 - d)
         eq |= zero
-        del y, zero  # before the next distance's pair
     return eq

@@ -27,16 +27,20 @@ and is nonnegative at every integer t, so each negative interval past t = 1
 costs two more roots: w allows at most floor((w-1)/2) of them (none for
 w = 0), and one more root buys a dip in (0, 1), so w = 2 allows one there.
 
-A W is validated once: its ``ValidationResult`` is kept on it, so
+A W is validated at most once: its ``ValidationResult`` is kept on it, so
 ``validate_sign_change_matrix``, ``entry_bounds_from_w`` and
-``canonicalize_w`` all read one check.  W is immutable and the result
-takes no part in equality or hashing.
+``canonicalize_w`` all read one check.  The enumerated classes come
+validated: ``enumerate_w_classes`` checks them all in one array pass
+(``_checked_stack``), so certifying a dimension runs no per-class check.  W
+is immutable and the result takes no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .exppoly import descartes_bound, entry_exppoly
 from .matcore import MatrixFormatError, SymMatrix, spectral_decompose, _read_square_rows
@@ -140,6 +144,26 @@ def _validate(w: tuple[tuple[int, ...], ...], n: int) -> ValidationResult:
     violations += [f"column {j} has multiple entries equal to {cap}"
                    for j, c in enumerate(cols, start=1) if c.count(cap) > 1]
     return ValidationResult(ok=not violations, violations=tuple(violations))
+
+
+def _checked_stack(ws: np.ndarray) -> tuple[SignChangeMatrix, ...]:
+    """The W of each n x n integer matrix of the stack ``ws`` (shape
+    (B, n, n)), validated in one array pass of ``_validate``'s rule for a
+    valid W: symmetric, a zero diagonal, entries 0..n-1 and at most one n-1
+    per row (so per column).  A W that passes keeps the shared ``_VALID``,
+    the way a decomposition keeps its zero-coordinate verdict; any other W
+    runs ``_validate`` on first use, for its violations."""
+    n = ws.shape[-1]
+    cap = n - 1
+    ok = ((ws == np.swapaxes(ws, -1, -2)).all(axis=(-2, -1))
+          & ~np.diagonal(ws, axis1=-2, axis2=-1).any(axis=-1)
+          & ((ws >= 0) & (ws <= cap)).all(axis=(-2, -1))
+          & ((ws == cap).sum(axis=-1) <= 1).all(axis=-1))
+    out = tuple(SignChangeMatrix(n=n, w=tuple(map(tuple, w))) for w in ws.tolist())
+    for W, valid in zip(out, ok.tolist()):
+        if valid:
+            vars(W)["_validation"] = _VALID  # fills the cached_property
+    return out
 
 
 def parse_sign_change_matrix(text: str) -> SignChangeMatrix:

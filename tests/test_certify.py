@@ -1,18 +1,21 @@
 """Closed-form bounds, entry-bound rules (against an entry-by-entry oracle
-and the array form they replaced), and dimension certificates."""
+and the array form they replaced), and dimension certificates (with the
+calls a certificate makes per class)."""
 
 import collections
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dncrit as dc
+from dncrit import certify, signchange
 from dncrit.certify import InvalidWError, k_of_n
-from dncrit.signchange import SignChangeMatrix
+from dncrit.signchange import _VALID, SignChangeMatrix
 
 
 def _entry_bounds_oracle(W):
@@ -283,6 +286,23 @@ class TestCertificates:
         assert len(calls) == report.num_classes == 399
         assert [c.max_bound for c in report.classes] == [real(c.bounds) for c in report.classes]
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_classes_are_not_validated_again(self, n):
+        # the enumeration validates its classes in one batch; certify still
+        # bounds and checks each class once, and no class runs _validate
+        with mock.patch.object(signchange, "_validate", wraps=signchange._validate) as check, \
+                mock.patch.object(certify, "validate_sign_change_matrix",
+                                  wraps=certify.validate_sign_change_matrix) as verdicts, \
+                mock.patch.object(certify, "entry_bounds_from_w",
+                                  wraps=certify.entry_bounds_from_w) as bounds:
+            report = dc.certify_dimension(n)
+        assert check.call_count == 0
+        assert verdicts.call_count == bounds.call_count == report.num_classes
+        assert [c.args for c in bounds.call_args_list] == [(c.w,) for c in report.classes]
+        assert [c.args for c in verdicts.call_args_list] == [(c.w,) for c in report.classes]
+        assert all(v is _VALID for v in map(dc.validate_sign_change_matrix,
+                                            (c.w for c in report.classes)))
+
     def test_caps(self):
         with pytest.raises(ValueError):
             dc.certify_dimension(1)
@@ -309,7 +329,7 @@ class TestDimensionSix:
 @pytest.mark.slow
 class TestDimensionSeven:
     def test_n7_certificate(self):
-        # one run of the whole n=7 certificate (about 10-15 s)
+        # one run of the whole n=7 certificate (about 8-10 s)
         report = dc.certify_dimension(7)
         flats = np.array([c.w.w for c in report.classes], dtype=np.int8)
         assert report.num_classes == len(flats) == 17475

@@ -220,6 +220,23 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "unbounded" in out
 
+    @pytest.mark.parametrize("rows, code, top, text", [
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0, 1.0, "max_bound=1"),
+        ([[0, 5, 0, 0, 0, 0], [5, 0, 0, 0, 0, 0]] + [[0] * 6] * 4, 1, "unbounded",
+         "max_bound=unbounded"),
+    ], ids=["bounded", "unbounded"])
+    def test_w_file_json_carries_max_bound(self, tmp_path, capsys, rows, code, top, text):
+        # the --out JSON of one W has the max_bound its summary prints, in the
+        # form each class of a --n certificate has it
+        path, out = tmp_path / "w.txt", tmp_path / "w.json"
+        path.write_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+        assert main(["certify", "--w-file", str(path), "--out", str(out)]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == text
+        data = json.loads(out.read_text())
+        assert data["max_bound"] == top
+        certified = json.loads(dc.certify_dimension(3).to_json())["classes"][0]
+        assert certified.keys() <= data.keys()
+
     @pytest.mark.parametrize("text", ["inf\n", "nan\n", "2\n0 inf\ninf 0\n"])
     def test_w_file_non_finite_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "w.txt"

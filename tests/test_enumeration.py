@@ -4,8 +4,9 @@ before and after W's validation verdict is cached),
 and the per-dimension class sets (including cross-validation of the row-set
 reduction against the brute-force canonical form of every pattern's W), the
 flip-word lemma the row-set reduction rests on, the
-chunked raw-key stage against a monolithic oracle (and its tails and
-column-pair masks against the loops they replaced), the packed W keys and
+chunked raw-key stage against a monolithic oracle and chunk by chunk against
+the column-code pass it replaced (and its tails and column-pair masks against
+the loops they replaced), the packed W keys and
 key-level orbits the enumeration sweeps over, the bucketed sweep against the
 whole-key sweep it replaced (also in rounds of one bucket and in blocks of
 one bucket), the float64 orbit product against the uint64 one, the memory
@@ -145,6 +146,45 @@ def _columns_distinct_oracle(codes, n):
         dup |= seen & bit
         seen |= bit
     return dup == 0
+
+
+def _parity_codes(n):
+    """Oracle: byte k of code f is the parity of word f's low k bits, i.e.
+    f's sign in column k (0 for +), for the 2^(n-1) words f."""
+    return np.array([sum((f & ((1 << k) - 1)).bit_count() % 2 << 8 * k for k in range(n))
+                     for f in range(2 ** (n - 1))], dtype=np.uint64)
+
+
+def _set_pairs_oracle(words, n):
+    """Oracle: the column pairs each row of ``words`` (a set of flip words
+    below row 0) leaves equal, as the raw-key stage built them before it read
+    them from the per-word table: the set's column codes, bit j + 1 of byte k
+    set when word j is - in column k, and one ``_equal_pairs`` pass over
+    them."""
+    par = _parity_codes(n)
+    code = np.zeros(len(words), dtype=np.uint64)
+    for j in range(words.shape[1]):
+        code |= par[words[:, j]] << np.uint64(j + 1)
+    return _equal_pairs(code, n)
+
+
+def _chunks_oracle(n):
+    """Oracle: chunk a of the raw-key stage, for a = 1 .. 2^(n-1) - 1: the
+    keys of the sets of word a and each tail of larger words, kept by the
+    column-pair masks of ``_set_pairs_oracle``, with W from popcounts."""
+    m = n - 1
+    pop = np.array([f.bit_count() for f in range(2 ** m)], dtype=np.uint64)
+    tails = _tails_oracle(n)
+    tail_eq = _set_pairs_oracle(tails, n)
+    a_eq = _set_pairs_oracle(np.arange(2 ** m)[:, None], n)
+    for a in range(1, 2 ** m):
+        keep = (tails.min(axis=1, initial=2 ** m) > a) & ((tail_eq & a_eq[a]) == 0)
+        flips = np.zeros((int(keep.sum()), n), dtype=np.intp)
+        flips[:, 1], flips[:, 2:] = a, tails[keep]
+        keys = np.zeros(len(flips), dtype=np.uint64)
+        for (i, j), shift in zip(zip(*np.triu_indices(n, 1)), _key_shifts(n)):
+            keys |= pop[flips[:, i] ^ flips[:, j]] << shift
+        yield keys
 
 
 def _flip_word(row):
@@ -501,6 +541,30 @@ class TestRawKeyChunks:
         low = np.uint64(sum(1 << 8 * k for k in range(n)))
         kept = (_equal_pairs(codes & low, n) & _equal_pairs(codes & ~low, n)) == 0
         assert kept.tolist() == _columns_distinct_oracle(codes, n).tolist()
+
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1).flatmap(
+        lambda k: st.lists(st.lists(st.integers(0, 2 ** (n - 1) - 1), min_size=k, max_size=k),
+                           min_size=1, max_size=30)))))
+    @example((7, [[63, 62, 1, 0, 42, 21]]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_set_pairs_are_the_and_of_word_pairs(self, drawn):
+        # a pair of columns is equal on a set of rows exactly when every row
+        # leaves it equal; the word 0 (row 0) leaves every pair equal
+        n, rows = drawn
+        words = np.array(rows, dtype=np.uint8).reshape(len(rows), -1)
+        table = _equal_pairs(_parity_codes(n), n)
+        expected = np.full(len(words), table[0])
+        for j in range(words.shape[1]):
+            expected &= table[words[:, j]]
+        assert _set_pairs_oracle(words, n).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chunks_match_the_code_pass_oracle(self, n):
+        chunks = list(_raw_key_chunks(n))
+        expected = list(_chunks_oracle(n))
+        assert len(chunks) == len(expected) == 2 ** (n - 1) - 1
+        for got, want in zip(chunks, expected):
+            assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("n, counts", [
         (1, (1, 1, 1, 1)), (2, (1, 1, 1, 1)), (3, (3, 3, 2, 1)), (4, (35, 29, 12, 4)),

@@ -1,6 +1,6 @@
-"""Sign change matrix construction, structural validation, component bound,
-and the classify pipeline: a pin of its values and the facts it computes once
-per decomposition and per W."""
+"""Sign change matrix construction, structural validation (one W at a time
+and in one batch), component bound, and the classify pipeline: a pin of its
+values and the facts it computes once per decomposition and per W."""
 
 import functools
 import hashlib
@@ -22,9 +22,12 @@ from dncrit import matcore, signchange
 from dncrit.exppoly import COEFF_ZERO_TOL, ExpPoly, descartes_bound, entry_exppoly
 from dncrit.matcore import ZERO_COORD_TOL, _nonzero_coords
 from dncrit.signchange import (
+    _VALID,
     InvalidWError,
     SignChangeMatrix,
     ValidationResult,
+    _checked_stack,
+    _validate,
     format_sign_change_matrix,
     parse_sign_change_matrix,
 )
@@ -292,10 +295,11 @@ def _violations_oracle(W):
 
 
 @st.composite
-def near_w(draw):
-    """An n x n integer matrix, n = 1..7, entries -1..n, symmetric and with a
-    zero diagonal unless drawn otherwise: mostly invalid, sometimes valid."""
-    n = draw(st.integers(1, 7))
+def near_w(draw, n=None):
+    """An n x n integer matrix, n = 1..7 unless given, entries -1..n,
+    symmetric and with a zero diagonal unless drawn otherwise: mostly
+    invalid, sometimes valid."""
+    n = draw(st.integers(1, 7)) if n is None else n
     lo = draw(st.sampled_from([0, 0, -1]))
     w = np.array(draw(st.lists(st.integers(lo, n), min_size=n * n, max_size=n * n)),
                  dtype=int).reshape(n, n)
@@ -413,6 +417,51 @@ class TestValidation:
             SignChangeMatrix(n=2, w=((0, 1), (0, 0))))
         assert not result.ok
         assert any("symmetric" in v for v in result.violations)
+
+
+class TestBatchedValidation:
+    """``_checked_stack`` validates a stack of W in one array pass: a W it
+    passes keeps the shared ``_VALID``, any other W validates itself on first
+    use, so every verdict is ``_validate``'s."""
+
+    @given(st.one_of(near_w(), capped_w()))
+    @example(SignChangeMatrix(n=3, w=((0, 1, 2), (1, 0, 1), (2, 1, 0))))  # valid
+    @example(SignChangeMatrix(n=3, w=((0, 1, 2), (0, 0, 1), (2, 1, 0))))  # asymmetric
+    @example(SignChangeMatrix(n=3, w=((0, 1, 1), (1, 1, 1), (1, 1, 0))))  # diagonal
+    @example(SignChangeMatrix(n=3, w=((0, -1, 1), (-1, 0, 1), (1, 1, 0))))  # negative
+    @example(SignChangeMatrix(n=3, w=((0, 3, 1), (3, 0, 1), (1, 1, 0))))  # past n-1
+    @example(SignChangeMatrix(n=4, w=((0, 3, 3, 1), (3, 0, 1, 1), (3, 1, 0, 1),
+                                      (1, 1, 1, 0))))  # two n-1 in a row
+    @example(SignChangeMatrix(n=1, w=((0,),)))
+    @example(SignChangeMatrix(n=1, w=((1,),)))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_verdict_is_validates(self, W):
+        (checked,) = _checked_stack(np.array([W.w]))
+        expected = _validate(W.w, W.n)
+        assert checked == W and checked.w == W.w
+        assert ("_validation" in vars(checked)) == expected.ok
+        if expected.ok:
+            assert vars(checked)["_validation"] is _VALID
+        assert dc.validate_sign_change_matrix(checked) == expected
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(near_w(n), min_size=1, max_size=8)))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_stack_verdicts_are_per_matrix(self, ws):
+        # one batch gives each W its own verdict, in order
+        checked = _checked_stack(np.array([W.w for W in ws]))
+        assert [W.w for W in checked] == [W.w for W in ws]
+        assert ["_validation" in vars(W) for W in checked] == [
+            _validate(W.w, W.n).ok for W in ws]
+        assert [dc.validate_sign_change_matrix(W) for W in checked] == [
+            _validate(W.w, W.n) for W in ws]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_enumerated_classes_come_validated(self, n):
+        classes = dc.enumerate_w_classes(n)
+        assert all(vars(W)["_validation"] is _VALID for W in classes)
+        with mock.patch.object(signchange, "_validate", wraps=signchange._validate) as check:
+            assert all(dc.validate_sign_change_matrix(W) is _VALID for W in classes)
+        assert check.call_count == 0
 
 
 def classify_draws(count):
